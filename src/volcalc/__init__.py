@@ -7,13 +7,10 @@ semigroup oracle, and the parabolic rescaling family.
 """
 
 from .deform import (
-    Filtration,
     ScaledFamily,
-    cutoff_mass,
     homogeneity_defect,
     measure_scaling_check,
     model_kernel,
-    mollifier_rescale,
     rescale_kernel,
     rescale_symbol,
 )
@@ -46,14 +43,7 @@ from .symcore import (
     QuadraticForm,
     SingularityError,
     SymbolTerm,
-    aniso_norm,
-    dilate,
     lambda_power,
-    quadratic_symbol,
-    symbol_deriv,
-    symbol_eval,
-    symbol_mul,
-    term_degree,
 )
 from .validate import run_acceptance
 from .volterra import (
@@ -64,17 +54,13 @@ from .volterra import (
     OperatorSpec,
     ParametrixResult,
     ParametrixShapeError,
-    PrincipalSymbolClass,
-    ResidualKernel,
     anticausal_control,
-    causal_kernel,
     causality_check,
     min_extension_index,
     operator_symbol,
     parametrix,
     sharp_exact,
     sharp_product,
-    spatial_symbol,
 )
 
 __version__ = "0.1.0"

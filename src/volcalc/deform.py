@@ -16,41 +16,13 @@ from .symcore import DomainError, ParabolicSymbol
 from .volterra import CausalKernel
 
 __all__ = [
-    "Filtration",
     "ScaledFamily",
     "rescale_symbol",
     "rescale_kernel",
     "model_kernel",
     "homogeneity_defect",
     "measure_scaling_check",
-    "mollifier_rescale",
-    "cutoff_mass",
 ]
-
-
-class Filtration:
-    """Weight bookkeeping for the parabolic filtration of the space-time fiber.
-
-    Layer dims (0, d, d+1) with weights (1, 2); homogeneous dimension
-    d*1 + 1*2 = d + 2, the same constant that governs the causal-extension
-    integrability threshold.
-    """
-
-    weights = (1, 2)
-
-    def __init__(self, dim):
-        if dim < 1:
-            raise DomainError("dimension must be >= 1")
-        self.dim = int(dim)
-        self.layer_dims = (0, self.dim, self.dim + 1)
-
-    @property
-    def homogeneous_dimension(self):
-        increments = [b - a for a, b in zip(self.layer_dims[:-1], self.layer_dims[1:])]
-        return sum(w * inc for w, inc in zip(self.weights, increments))
-
-    def __repr__(self):
-        return f"Filtration(d={self.dim}, weights={self.weights})"
 
 
 def rescale_symbol(q: ParabolicSymbol, hbar) -> ParabolicSymbol:
@@ -163,26 +135,3 @@ def measure_scaling_check(lam, dim) -> float:
         raise DomainError("lam must be positive")
     jac = np.diag([lam] * int(dim) + [lam**2])
     return float(np.prod(np.diag(jac)))
-
-
-def mollifier_rescale(chi, eps, dim):
-    """Mass-preserving cutoff rescale (zeta, t) -> eps^-(d+2) chi(zeta/eps, t/eps^2)."""
-    eps = float(eps)
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-
-    def scaled(zeta, t):
-        zeta = np.asarray(zeta, dtype=float)
-        return eps ** (-(dim + 2)) * chi(zeta / eps, np.asarray(t, dtype=float) / eps**2)
-
-    return scaled
-
-
-def cutoff_mass(chi, dim=1, half_width=8.0, n=1024):
-    """Trapezoid quadrature of chi(zeta, t) over [-w, w]^2 (d = 1 fibers)."""
-    if dim != 1:
-        raise DomainError("cutoff_mass implemented for d = 1")
-    ax = np.linspace(-half_width, half_width, n)
-    Z, T = np.meshgrid(ax, ax, indexing="ij")
-    vals = chi(Z, T)
-    return float(np.trapezoid(np.trapezoid(vals, ax, axis=1), ax, axis=0))

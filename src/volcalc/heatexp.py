@@ -18,7 +18,7 @@ from .moments import gaussian_moment
 from .symcore import CoefficientField, DomainError
 from .volterra import CausalKernel, OperatorSpec, operator_symbol, parametrix
 
-__all__ = ["HeatCoefficient", "HeatExpansion", "heat_coefficients", "gaussian_moment"]
+__all__ = ["HeatCoefficient", "HeatExpansion", "heat_coefficients"]
 
 MAX_INDEX = 8  # desk scale
 
@@ -50,18 +50,6 @@ class HeatExpansion:
             if e.j == j:
                 return e.value
         raise KeyError(f"no coefficient with index {j}")
-
-    def sample(self, j, n=_GRID_N):
-        """Coefficient values on the uniform n-point grid per dimension."""
-        return self.coefficient(j).sample_grid(n)
-
-    def diagonal_series(self, x, t):
-        """Truncated series value sum_j q_j(x) t^((j-d)/2)."""
-        t = np.asarray(t, dtype=float)
-        total = np.zeros(t.shape, dtype=complex)
-        for e in self.entries:
-            total += e.value.evaluate(x) * t ** e.exponent
-        return total
 
     def __repr__(self):
         return f"HeatExpansion({self.name}, d={self.dim}, J={self.entries[-1].j})"

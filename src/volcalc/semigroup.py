@@ -13,7 +13,6 @@ OperatorSpec and dense linear algebra.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product as _cartesian
 
@@ -47,11 +46,8 @@ class SpectrumSampleError(ValueError):
     """A requested resolvent point sits (numerically) on the spectrum."""
 
 
-def _max_workers():
-    try:
-        return max(1, int(os.environ.get("VOLTERRA_THREADS", "1")))
-    except ValueError:
-        return 1
+# Largest Galerkin basis that is stored as a dense matrix.
+MAX_DENSE_MODES = 6000
 
 
 @dataclass
@@ -83,15 +79,12 @@ class DiscretizedOperator:
     @property
     def matrix(self):
         if self._matrix is None:
-            if self.size > 6000:
+            if self.size > MAX_DENSE_MODES:
                 raise MemoryError(
                     f"dense matrix of size {self.size} not materialized; "
                     "use the diagonal")
             self._matrix = np.diag(self.diagonal).astype(complex)
         return self._matrix
-
-    def hermitian_part(self):
-        return 0.5 * (self.matrix + self.matrix.conj().T)
 
     def is_nonnegative(self, tol=1e-8) -> bool:
         return self.min_sym_eig >= -tol
@@ -107,17 +100,24 @@ def discretize(op: OperatorSpec, n: int) -> DiscretizedOperator:
     """Galerkin matrix; multiplication operators become frequency convolutions.
 
     M[m, k] = sum_ij g^ij_{m-k} k_i k_j + i sum_j b^j_{m-k} k_j + V_{m-k}.
+    Variable coefficients need the dense matrix, which is refused above
+    MAX_DENSE_MODES basis functions.
     """
     if n < 4:
         raise DomainError("mode cutoff must be >= 4")
     d = op.dim
-    freqs = tuple(_cartesian(*([range(-n, n + 1)] * d)))
-    size = len(freqs)
-    kmat = np.array(freqs, dtype=float)
-
+    size = (2 * n + 1) ** d
     fields = [op.metric.entries[i][j] for i in range(d) for j in range(d)]
     fields += list(op.drift) + [op.potential]
-    if all(f.max_freq() == 0 for f in fields):
+    constant = all(f.max_freq() == 0 for f in fields)
+    if not constant and size > MAX_DENSE_MODES:
+        raise DomainError(
+            f"mode cutoff {n} needs a dense Galerkin matrix of {size} modes; "
+            f"at most {MAX_DENSE_MODES} are supported")
+    freqs = tuple(_cartesian(*([range(-n, n + 1)] * d)))
+    kmat = np.array(freqs, dtype=float)
+
+    if constant:
         diag = np.zeros(size, dtype=complex)
         for i in range(d):
             for j in range(d):
@@ -252,37 +252,15 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     size = A.shape[0]
     eye = np.eye(size, dtype=complex)
     s, w = quad.nodes(t)
-    jobs = [(si, wi, sgn) for sgn in (+1.0, -1.0) for si, wi in zip(s, w)]
-
-    def node_term(job):
-        si, wi, sgn = job
-        lam = quad.vertex + si * (1.0 + sgn * 1j)
-        try:
-            R = np.linalg.solve(A - lam * eye, eye)
-        except np.linalg.LinAlgError as exc:  # cannot happen on Gamma for PSD input
-            raise SpectrumSampleError(f"resolvent solve failed at {lam}") from exc
-        return sgn * wi * np.exp(-t * lam) * (1.0 + sgn * 1j) * R
-
-    workers = _max_workers()
     total = np.zeros((size, size), dtype=complex)
-    if workers > 1:
-        # fixed chunking and in-order reduction keep the sum deterministic
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [jobs[i::4 * workers] for i in range(4 * workers)]
-
-        def chunk_sum(chunk):
-            acc = np.zeros((size, size), dtype=complex)
-            for job in chunk:
-                acc += node_term(job)
-            return acc
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(chunk_sum, chunks):
-                total += part
-    else:
-        for job in jobs:
-            total += node_term(job)
+    for sgn in (+1.0, -1.0):
+        for si, wi in zip(s, w):
+            lam = quad.vertex + si * (1.0 + sgn * 1j)
+            try:
+                R = np.linalg.solve(A - lam * eye, eye)
+            except np.linalg.LinAlgError as exc:  # cannot happen on Gamma for PSD input
+                raise SpectrumSampleError(f"resolvent solve failed at {lam}") from exc
+            total += sgn * wi * np.exp(-t * lam) * (1.0 + sgn * 1j) * R
     return total / (2j * np.pi)
 
 

@@ -10,13 +10,14 @@ Schema:
     }
 
 g entries may be given for one triangle only (mirrored); when both (i, j)
-and (j, i) appear they must agree.  Reality (c_{-k} = conj(c_k)) and metric
-positivity are enforced at load time.
+and (j, i) appear they must agree.  Finite amplitudes, reality
+(c_{-k} = conj(c_k)) and metric positivity are enforced at load time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from .symcore import CoefficientField, NotPositiveDefiniteError, QuadraticForm
@@ -41,6 +42,8 @@ def _field_from_entries(dim, entries, key):
             raise SpecFileError(f"bad entry under key '{key}': {ent!r}") from exc
         if len(freq) != dim:
             raise SpecFileError(f"key '{key}': frequency {freq} has length != dim")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise SpecFileError(f"key '{key}': non-finite amplitude in {ent!r}")
         amp[freq] = amp.get(freq, 0.0) + complex(re, im)
     return CoefficientField(dim, amp)
 

@@ -28,15 +28,9 @@ __all__ = [
     "FormMismatchError",
     "NotPositiveDefiniteError",
     "SingularityError",
-    "term_degree",
-    "dilate",
-    "symbol_mul",
-    "symbol_deriv",
-    "symbol_eval",
     "lambda_power",
-    "quadratic_symbol",
-    "aniso_norm",
     "multi_indices",
+    "xi_monomial",
 ]
 
 
@@ -56,12 +50,6 @@ class SingularityError(ArithmeticError):
     """Evaluation hit a pole (Lambda = 0 with a negative power present)."""
 
 
-def aniso_norm(xi, tau) -> float:
-    """Anisotropic norm (|xi|^2 + |tau|)^(1/2), degree 1 under dilation."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return float(np.sqrt(np.dot(xi, xi) + abs(tau)))
-
-
 def multi_indices(dim: int, total: int):
     """All multi-indices of length `dim` with |beta| == total."""
     if dim == 1:
@@ -70,6 +58,15 @@ def multi_indices(dim: int, total: int):
     for head in range(total + 1):
         for rest in multi_indices(dim - 1, total - head):
             yield (head,) + rest
+
+
+def xi_monomial(xi, beta):
+    """xi^beta for a float array xi and a multi-index beta."""
+    mono = 1.0
+    for a, b in enumerate(beta):
+        if b:
+            mono *= xi[a] ** b
+    return mono
 
 
 class CoefficientField:
@@ -216,16 +213,6 @@ class CoefficientField:
             self.dim, {k: 1j * k[axis] * c for k, c in self._amp.items() if k[axis] != 0}
         )
 
-    def conj(self):
-        return CoefficientField(
-            self.dim, {tuple(-f for f in k): np.conj(c) for k, c in self._amp.items()}
-        )
-
-    def prune(self, tol_abs):
-        return CoefficientField(
-            self.dim, {k: c for k, c in self._amp.items() if abs(c) > tol_abs}
-        )
-
     # -- evaluation --------------------------------------------------------
 
     def _points(self, x):
@@ -251,19 +238,6 @@ class CoefficientField:
         for k, c in self._amp.items():
             out += c * np.exp(1j * (pts @ np.asarray(k, dtype=float)))
         return out[0] if single else out
-
-    def sample_grid(self, n=128):
-        """Values on the uniform tensor grid x_j = 2*pi*j/n (shape (n,)*d)."""
-        axes = [2.0 * np.pi * np.arange(n) / n] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        out = np.zeros(mesh[0].shape, dtype=complex)
-        for k, c in self._amp.items():
-            phase = np.zeros(mesh[0].shape)
-            for a in range(self.dim):
-                if k[a]:
-                    phase = phase + k[a] * mesh[a]
-            out += c * np.exp(1j * phase)
-        return out
 
 
 class QuadraticForm:
@@ -292,7 +266,7 @@ class QuadraticForm:
         self.entries = rows
         if check_positive:
             floor = self.min_eig_on_grid(grid_n)
-            if floor < positivity_floor:
+            if not floor >= positivity_floor:
                 raise NotPositiveDefiniteError(
                     f"min eigenvalue {floor:.3e} below floor {positivity_floor:.1e}"
                 )
@@ -375,11 +349,6 @@ class SymbolTerm:
         return f"SymbolTerm(beta={self.beta}, lpow={self.lpow}, deg={self.degree})"
 
 
-def term_degree(term: SymbolTerm) -> int:
-    """Parabolic degree |beta| + 2*lpow of a canonical term."""
-    return term.degree
-
-
 class ParabolicSymbol:
     """Finite sum of canonical terms over a shared quadratic form.
 
@@ -423,16 +392,6 @@ class ParabolicSymbol:
         d = form.dim
         return cls(form, {((0,) * d, 0): CoefficientField.constant(d, value)})
 
-    @classmethod
-    def from_terms(cls, form, triples, order=None):
-        """Build from an iterable of (coeff, beta, lpow)."""
-        tmap = {}
-        d = form.dim
-        for coeff, beta, lpow in triples:
-            key = (tuple(beta), int(lpow))
-            tmap[key] = tmap.get(key, CoefficientField.zero(d)) + coeff
-        return cls(form, tmap, order=order)
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -475,10 +434,6 @@ class ParabolicSymbol:
 
     def truncate_below(self, min_degree: int):
         sub = {k: c for k, c in self._terms.items() if sum(k[0]) + 2 * k[1] >= min_degree}
-        return ParabolicSymbol(self.form, sub, order=self.order)
-
-    def prune(self, tol_abs):
-        sub = {k: c.prune(tol_abs) for k, c in self._terms.items()}
         return ParabolicSymbol(self.form, sub, order=self.order)
 
     def allclose(self, other, tol=1e-12):
@@ -619,55 +574,26 @@ class ParabolicSymbol:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, x, xi, tau):
-        """Value at a single point; raises SingularityError at a pole."""
+        """Value at (x, xi) for a scalar tau, or for each entry of an array tau.
+
+        Raises SingularityError at a pole.
+        """
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        lam = 1j * complex(tau) + self.form.value(x, xi)
-        has_neg = any(l < 0 for (_, l) in self._terms)
-        if has_neg and lam == 0:
+        g = self.form.value(x, xi)
+        if np.ndim(tau) == 0:
+            # Python complex arithmetic: a scalar routed through 0-d arrays is slower
+            lam = 1j * complex(tau) + g
+            at_pole = lam == 0
+            total = 0.0 + 0.0j
+        else:
+            lam = 1j * np.asarray(tau) + g
+            at_pole = np.any(lam == 0)
+            total = np.zeros(lam.shape, dtype=complex)
+        if at_pole and any(l < 0 for (_, l) in self._terms):
             raise SingularityError("Lambda = 0 with a negative power present")
-        total = 0.0 + 0.0j
         for (beta, l), c in self._terms.items():
-            mono = 1.0
-            for a, b in enumerate(beta):
-                if b:
-                    mono *= xi[a] ** b
-            total += c.evaluate(x) * mono * lam ** l
+            total += c.evaluate(x) * xi_monomial(xi, beta) * lam ** l
         return total
-
-    def evaluate_tau_grid(self, x, xi, taus):
-        """Vectorized value over an array of tau at fixed (x, xi)."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        taus = np.asarray(taus)
-        lam = 1j * taus + self.form.value(x, xi)
-        has_neg = any(l < 0 for (_, l) in self._terms)
-        if has_neg and np.any(lam == 0):
-            raise SingularityError("Lambda = 0 with a negative power present")
-        total = np.zeros(taus.shape, dtype=complex)
-        for (beta, l), c in self._terms.items():
-            mono = 1.0
-            for a, b in enumerate(beta):
-                if b:
-                    mono *= xi[a] ** b
-            total += c.evaluate(x) * mono * lam ** l
-        return total
-
-
-# -- module-level operation names ------------------------------------------
-
-def dilate(q: ParabolicSymbol, lam) -> ParabolicSymbol:
-    return q.dilate(lam)
-
-
-def symbol_mul(q1: ParabolicSymbol, q2: ParabolicSymbol) -> ParabolicSymbol:
-    return q1 * q2
-
-
-def symbol_deriv(q: ParabolicSymbol, var) -> ParabolicSymbol:
-    return q.deriv(var)
-
-
-def symbol_eval(q: ParabolicSymbol, x, xi, tau) -> complex:
-    return q.evaluate(x, xi, tau)
 
 
 def lambda_power(form: QuadraticForm, lpow: int, scale=1.0) -> ParabolicSymbol:
@@ -676,20 +602,3 @@ def lambda_power(form: QuadraticForm, lpow: int, scale=1.0) -> ParabolicSymbol:
     return ParabolicSymbol(form, {((0,) * d, int(lpow)):
                                   CoefficientField.constant(d, scale)})
 
-
-def quadratic_symbol(form: QuadraticForm) -> ParabolicSymbol:
-    """G(x)(xi, xi) written with pure xi monomials (lpow = 0 terms)."""
-    d = form.dim
-    tmap = {}
-    for i in range(d):
-        for j in range(i, d):
-            g = form.entries[i][j]
-            if g.is_zero():
-                continue
-            beta = [0] * d
-            beta[i] += 1
-            beta[j] += 1
-            key = (tuple(beta), 0)
-            entry = g if i == j else g.scale(2.0)
-            tmap[key] = tmap.get(key, CoefficientField.zero(d)) + entry
-    return ParabolicSymbol(form, tmap, order=2)

@@ -71,8 +71,8 @@ def criterion_1(corpus, rng):
     for j in range(1, 5):
         table.add(f"fitted c_{j}", symbolic=0.0, numeric=c[j],
                   error=abs(c[j]), tolerance=1e-2)
-    elapsed = time.perf_counter() - t_start
-    table.add("runtime (s)", numeric=elapsed, error=elapsed, tolerance=30.0)
+    # the gate carries no number, so that --out stays byte-identical across runs
+    table.add("runtime within 30 s", passed=time.perf_counter() - t_start <= 30.0)
     return table
 
 
@@ -102,8 +102,7 @@ def criterion_2(corpus, rng):
         abse = np.max(np.abs(fitted[~inner] - truth[~inner]))
         table.add("fitted q_2 abs error (|cos x| < 0.2)", numeric=abse,
                   error=abse, tolerance=1e-2)
-    elapsed = time.perf_counter() - t_start
-    table.add("runtime (s)", numeric=elapsed, error=elapsed, tolerance=120.0)
+    table.add("runtime within 120 s", passed=time.perf_counter() - t_start <= 120.0)
     return table
 
 

@@ -27,16 +27,14 @@ from .symcore import (
     DomainError,
     ParabolicSymbol,
     QuadraticForm,
-    SymbolTerm,
     lambda_power,
     multi_indices,
-    quadratic_symbol,
+    xi_monomial,
 )
 
 __all__ = [
     "OperatorSpec",
     "operator_symbol",
-    "spatial_symbol",
     "sharp_product",
     "sharp_exact",
     "ParametrixResult",
@@ -44,9 +42,6 @@ __all__ = [
     "min_extension_index",
     "KernelPiece",
     "CausalKernel",
-    "causal_kernel",
-    "ResidualKernel",
-    "PrincipalSymbolClass",
     "CausalityGrid",
     "causality_check",
     "anticausal_control",
@@ -167,38 +162,20 @@ def operator_symbol(op: OperatorSpec) -> ParabolicSymbol:
     return ParabolicSymbol(op.metric, tmap, order=2)
 
 
-def spatial_symbol(op: OperatorSpec) -> ParabolicSymbol:
-    """Left symbol of A alone: G(xi,xi) + i*b.xi + V, with lpow = 0 terms only."""
-    p = operator_symbol(op) - lambda_power(op.metric, 1)
-    return p + quadratic_symbol(op.metric)
-
-
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
 
 
-def _xi_derivative_chain(q, cache, alpha):
-    """d_xi^alpha q, derived from the cached parent with one order less."""
+def _derivative_chain(q, cache, alpha, kind):
+    """d_kind^alpha q (kind 'xi' or 'x'), from the cached parent one order lower."""
     if alpha in cache:
         return cache[alpha]
     axis = next(a for a, v in enumerate(alpha) if v > 0)
     parent = list(alpha)
     parent[axis] -= 1
-    base = _xi_derivative_chain(q, cache, tuple(parent))
-    out = base.deriv(("xi", axis))
-    cache[alpha] = out
-    return out
-
-
-def _x_derivative_chain(q, cache, alpha):
-    if alpha in cache:
-        return cache[alpha]
-    axis = next(a for a, v in enumerate(alpha) if v > 0)
-    parent = list(alpha)
-    parent[axis] -= 1
-    base = _x_derivative_chain(q, cache, tuple(parent))
-    out = base.deriv(("x", axis))
+    base = _derivative_chain(q, cache, tuple(parent), kind)
+    out = base.deriv((kind, axis))
     cache[alpha] = out
     return out
 
@@ -211,11 +188,11 @@ def _sharp_sum(q1, q2, max_order):
     for order in range(max_order):
         alive = False
         for alpha in multi_indices(d, order):
-            da = _xi_derivative_chain(q1, dxi, alpha)
+            da = _derivative_chain(q1, dxi, alpha, "xi")
             if da.is_zero():
                 continue
             alive = True
-            db = _x_derivative_chain(q2, dx, alpha)
+            db = _derivative_chain(q2, dx, alpha, "x")
             if db.is_zero():
                 continue
             fact = math.prod(math.factorial(a) for a in alpha)
@@ -371,11 +348,6 @@ class CausalKernel:
         return CausalKernel(self.form, [p for p in self.pieces
                                         if sum(p.beta) - 2 * p.tpow - 2 == top])
 
-    def scale(self, factor):
-        return CausalKernel(self.form,
-                            [KernelPiece(p.coeff.scale(factor), p.beta, p.tpow)
-                             for p in self.pieces])
-
     def __add__(self, other):
         if self.form != other.form:
             raise ValueError("kernels over different forms")
@@ -389,11 +361,8 @@ class CausalKernel:
         out = np.zeros(t.shape, dtype=complex)
         pos = t >= 0
         for p in self.pieces:
-            mono = 1.0
-            for ax, b in enumerate(p.beta):
-                if b:
-                    mono *= xi[ax] ** b
-            out[pos] += p.coeff.evaluate(x) * mono * t[pos] ** p.tpow * np.exp(-t[pos] * a)
+            out[pos] += (p.coeff.evaluate(x) * xi_monomial(xi, p.beta)
+                         * t[pos] ** p.tpow * np.exp(-t[pos] * a))
         return out if out.ndim else complex(out)
 
     def eval_zeta(self, x, zeta, t):
@@ -447,90 +416,6 @@ class CausalKernel:
         return complex(out[0]) if scalar else out
 
 
-def causal_kernel(term, transform="tau_only"):
-    """Causal extension of canonical terms with lpow <= -1.
-
-    tau_only: closed-form inverse tau-transform
-        c(x) xi^beta Lambda^l -> c(x) xi^beta t^(-l-1)/(-l-1)! e^{-t G(xi,xi)} H(t).
-    full_diagonal: additionally integrates over xi at zeta = 0 and returns
-        the callable (x, t) -> k(x; 0, t).
-    """
-    if isinstance(term, SymbolTerm):
-        raise TypeError("pass a one-term ParabolicSymbol (terms carry no form)")
-    kern = CausalKernel.from_symbol(term)
-    if transform == "tau_only":
-        return kern
-    if transform == "full_diagonal":
-        return kern.diagonal_value
-    raise DomainError(f"unknown transform {transform!r}")
-
-
-class ResidualKernel:
-    """Sampled smooth causal kernel: the concrete model of a residual operator.
-
-    Stores values on a (zeta, t >= 0) grid together with a decay certificate:
-    the sup over the outermost spatial shell |zeta| = zeta_max relative to
-    the global sup.  Decay is measured in the fiber directions zeta; the
-    t-axis carries the one-sided causal support, not decay (heat-type
-    kernels spread polynomially in t).
-    """
-
-    def __init__(self, zeta_grid, t_grid, values):
-        self.zeta_grid = np.asarray(zeta_grid, dtype=float)
-        self.t_grid = np.asarray(t_grid, dtype=float)
-        self.values = np.asarray(values, dtype=complex)
-        if np.any(self.t_grid < 0):
-            raise ValueError("residual kernels are supported in t >= 0")
-        mags = np.abs(self.values)
-        total = float(mags.max()) if mags.size else 0.0
-        shell = 0.0
-        if mags.size:
-            border = np.zeros(mags.shape, dtype=bool)
-            for ax in range(mags.ndim - 1):  # spatial axes only
-                sl = [slice(None)] * mags.ndim
-                sl[ax] = 0
-                border[tuple(sl)] = True
-                sl[ax] = -1
-                border[tuple(sl)] = True
-            shell = float(mags[border].max())
-        self.decay_certificate = shell / total if total > 0 else 0.0
-
-    @classmethod
-    def from_symbol(cls, defect: ParabolicSymbol, x, zeta_max=12.0, t_max=2.0,
-                    n_zeta=41, n_t=41):
-        kern = CausalKernel.from_symbol(defect)
-        d = defect.dim
-        zeta_axis = np.linspace(-zeta_max, zeta_max, n_zeta)
-        t_axis = np.linspace(t_max / n_t, t_max, n_t)
-        if d == 1:
-            vals = np.array([[kern.eval_zeta(x, (z,), t) for t in t_axis]
-                             for z in zeta_axis])
-        else:
-            vals = np.array([[kern.eval_zeta(x, (z1, z2), t) for t in t_axis]
-                             for z1 in zeta_axis for z2 in zeta_axis])
-            vals = vals.reshape(n_zeta, n_zeta, n_t)
-        return cls(zeta_axis, t_axis, vals)
-
-    def is_rapidly_decaying(self, tol=1e-6) -> bool:
-        return self.decay_certificate <= tol
-
-
-@dataclass(frozen=True)
-class PrincipalSymbolClass:
-    """Strictly homogeneous representative of a symbol class modulo one order."""
-
-    symbol: ParabolicSymbol
-    degree: int
-
-    @classmethod
-    def of(cls, q: ParabolicSymbol):
-        return cls(q.principal_part(), q.order)
-
-    def __mul__(self, other):
-        return PrincipalSymbolClass(self.symbol * other.symbol,
-                                    self.degree + other.degree)
-
-
 # ---------------------------------------------------------------------------
 # causality verification
 # ---------------------------------------------------------------------------
@@ -554,6 +439,7 @@ class CausalityGrid:
 # kernel mass into t < 0; it suppresses the hard cutoff at |tau| = tau_max.
 _EDGE_SHARPNESS = 16.0
 _EDGE_POWER = 6.0
+_NOISE_FLOOR = 1e-12
 
 
 def _default_points(dim):
@@ -575,14 +461,15 @@ def causality_check(obj, grid=None, eps=1e-3, npow=None, x_points=None,
     causal edge window, sampled on the tau grid, and inverse transformed per
     fixed (x, xi).  A guard band of `guard_steps` around t = 0 and the outer
     `edge_fraction` of the periodic t-range are excluded from the negative-
-    side maximum.  Ratio 0 by convention for an identically zero input.
+    side maximum.  Sample points whose kernel maximum is at rounding level
+    (at most _NOISE_FLOOR times the largest over all points) are skipped: the
+    symbol vanishes there, and the kernel is rounding noise that says nothing
+    about support.  Ratio 0 by convention for an identically zero input.
     """
     grid = grid or CausalityGrid()
     if isinstance(obj, ParabolicSymbol):
         d = obj.dim
-        evaluate = obj.evaluate_tau_grid
-    elif isinstance(obj, CausalKernel):
-        return _kernel_support_ratio(obj, grid, x_points, xi_points)
+        evaluate = obj.evaluate
     elif callable(obj):
         if dim is None:
             raise ValueError("callable symbols need an explicit dim")
@@ -615,35 +502,14 @@ def causality_check(obj, grid=None, eps=1e-3, npow=None, x_points=None,
     if not np.any(neg_mask):
         raise DegenerateGridError("guard band leaves no negative-t samples")
 
-    worst = 0.0
+    peaks = []
     for x in xs:
         for xi in xis:
             qv = np.asarray(evaluate(x, xi, taus), dtype=complex)
             kv = (n * dtau / (2.0 * np.pi)) * np.fft.ifft(qv * reg * window) * phase
-            mx = float(np.max(np.abs(kv)))
-            if mx == 0.0:
-                continue
-            worst = max(worst, float(np.max(np.abs(kv[neg_mask]))) / mx)
-    return worst
-
-
-def _kernel_support_ratio(kern, grid, x_points, xi_points):
-    xs_default, xis_default = _default_points(kern.dim)
-    xs = xs_default if x_points is None else list(x_points)
-    xis = xis_default if xi_points is None else list(xi_points)
-    dt = np.pi / grid.tau_max
-    t_edge = 0.5 * grid.n_tau * dt
-    ts = np.linspace(-t_edge, t_edge, grid.n_tau)
-    worst = 0.0
-    for x in xs:
-        for xi in xis:
-            vals = np.abs(kern.eval_xi(x, xi, ts))
-            mx = float(vals.max())
-            if mx == 0.0:
-                continue
-            neg = ts <= -grid.guard_steps * dt
-            worst = max(worst, float(vals[neg].max()) / mx)
-    return worst
+            peaks.append((float(np.max(np.abs(kv))), float(np.max(np.abs(kv[neg_mask])))))
+    top = max((mx for mx, _ in peaks), default=0.0)
+    return max((neg / mx for mx, neg in peaks if mx > _NOISE_FLOOR * top), default=0.0)
 
 
 def anticausal_control(form: QuadraticForm):

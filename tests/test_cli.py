@@ -167,3 +167,23 @@ def test_cli_validate_subset_and_determinism(tmp_path, capsys):
     out3 = tmp_path / "c.csv"
     assert main(["validate", "--only", "11", "--out", str(out3)]) == 0
     assert out3.read_text().startswith("quantity,")
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 1, "g": [{"i": 0, "j": 0, "freq": [0], "re": float("nan")}]},
+    {"dim": 1, "g": [{"i": 0, "j": 0, "freq": [0], "re": 1.0}],
+     "V": [{"freq": [0], "re": float("inf")}]},
+], ids=["nan_metric", "infinite_potential"])
+def test_cli_non_finite_spec_exit_2(doc, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))  # writes the bare NaN / Infinity tokens
+    assert main(["heat-coeffs", "--op", str(path), "--J", "2"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_cli_validate_out_byte_identical(tmp_path, capsys):
+    out1 = tmp_path / "a.json"
+    out2 = tmp_path / "b.json"
+    main(["validate", "--only", "1", "2", "--out", str(out1)])
+    main(["validate", "--only", "1", "2", "--out", str(out2)])
+    assert out1.read_bytes() == out2.read_bytes()

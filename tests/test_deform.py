@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from volcalc.deform import (
-    Filtration,
     ScaledFamily,
-    cutoff_mass,
     homogeneity_defect,
     measure_scaling_check,
     model_kernel,
-    mollifier_rescale,
     rescale_kernel,
     rescale_symbol,
 )
@@ -23,11 +20,10 @@ FLAT1 = QuadraticForm.flat(1)
 
 
 def test_filtration_bookkeeping():
+    # the parabolic filtration (weights 1 on zeta, 2 on t) has homogeneous
+    # dimension d + 2, the causal-extension integrability threshold:
+    # smallest j with m + 2j > -(d + 2) flips at m = -(d + 2)
     for d in (1, 2):
-        filt = Filtration(d)
-        assert filt.homogeneous_dimension == d + 2
-        # same constant as the causal-extension integrability threshold:
-        # smallest j with m + 2j > -(d + 2) flips at m = -(d + 2)
         assert min_extension_index(-(d + 2), d) == 1
         assert min_extension_index(-(d + 1), d) == 0
 
@@ -106,14 +102,6 @@ def test_kernel_homogeneity_identity():
                 lhs = kern.eval_zeta(0.0, [hbar * z], hbar**2 * t)
                 rhs = hbar ** (-s - 3) * kern.eval_zeta(0.0, [z], t)
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-30)
-
-
-def test_mollifier_mass_preservation():
-    chi = lambda z, t: np.exp(-z**2 - t**2)
-    base = cutoff_mass(chi)
-    for eps in (0.5, 0.25):
-        scaled = mollifier_rescale(chi, eps, 1)
-        assert abs(cutoff_mass(scaled) - base) <= 1e-8 * abs(base)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,16 @@ def test_discretize_minimum_cutoff():
         discretize(CORPUS["flat_laplacian_1d"], 3)
 
 
+def test_discretize_refuses_oversized_dense_matrix():
+    # the log ladder's t_min asks for n = 640, a (2n+1)^2-mode dense matrix
+    g11 = CoefficientField.constant(2, 1.0) + CoefficientField.real_cosine(2, (1, 0), 0.4)
+    one, zero = CoefficientField.constant(2, 1.0), CoefficientField.zero(2)
+    op = OperatorSpec(QuadraticForm([[g11, zero], [zero, one]]), (zero, zero), zero,
+                      "variable_metric_2d")
+    with pytest.raises(DomainError, match="dense"):
+        log_coefficient_estimate(op, 4, n_x=16)
+
+
 def test_nonnegativity_gate():
     disc = discretize(CORPUS["cosine_potential"], 8)
     assert not disc.is_nonnegative()
@@ -240,13 +250,3 @@ def test_corpus_spectral_positivity():
             assert disc.min_sym_eig < -1e-2
         else:
             assert disc.min_sym_eig >= -1e-8, name
-
-
-def test_dunford_thread_cap_deterministic(monkeypatch):
-    disc = discretize(CORPUS["cosine_potential"], 8)
-    base = dunford_heat(disc, 0.5)
-    monkeypatch.setenv("VOLTERRA_THREADS", "3")
-    threaded = dunford_heat(disc, 0.5)
-    ref = matrix_heat_reference(disc, 0.5)
-    assert np.linalg.norm(threaded - ref, 2) <= 1e-10
-    assert np.linalg.norm(base - ref, 2) <= 1e-10

@@ -12,13 +12,7 @@ from volcalc.symcore import (
     QuadraticForm,
     SingularityError,
     SymbolTerm,
-    aniso_norm,
     lambda_power,
-    quadratic_symbol,
-    symbol_deriv,
-    symbol_eval,
-    symbol_mul,
-    term_degree,
 )
 
 FLAT1 = QuadraticForm.flat(1)
@@ -57,7 +51,9 @@ def test_field_derivative_and_periodicity():
 
 def test_field_grid_round_trip():
     f = CoefficientField(2, {(1, -2): 0.5 + 0.25j, (-1, 2): 0.5 - 0.25j, (0, 0): 1.5})
-    back = CoefficientField.from_grid(f.sample_grid(16))
+    ax = 2 * np.pi * np.arange(16) / 16
+    grid = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    back = CoefficientField.from_grid(f.evaluate(grid.reshape(-1, 2)).reshape(16, 16))
     assert set(back.amplitudes) == set(f.amplitudes)
     for k, c in f.amplitudes.items():
         assert abs(back.amplitudes[k] - c) < 1e-12
@@ -96,9 +92,9 @@ def test_form_value_and_derivative():
 
 def test_term_degree_examples():
     one = CoefficientField.constant(1, 1.0)
-    assert term_degree(SymbolTerm(one, (2,), 0)) == 2
-    assert term_degree(SymbolTerm(one, (0,), -1)) == -2
-    assert term_degree(SymbolTerm(one, (1,), -1)) == -1
+    assert SymbolTerm(one, (2,), 0).degree == 2
+    assert SymbolTerm(one, (0,), -1).degree == -2
+    assert SymbolTerm(one, (1,), -1).degree == -1
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +171,20 @@ def test_graded_piece_strict_homogeneity():
 
 def test_mul_lambda_powers():
     lam_inv = lambda_power(FLAT1, -1)
-    prod = symbol_mul(lam_inv, lam_inv)
+    prod = lam_inv * lam_inv
     assert prod.allclose(lambda_power(FLAT1, -2))
     assert prod.degrees() == [-4]
 
 
 def test_mul_cancellation_to_constant():
     p = lambda_power(FLAT1, 1)  # i tau + |xi|^2 in canonical form
-    one = symbol_mul(p, lambda_power(FLAT1, -1))
+    one = p * lambda_power(FLAT1, -1)
     assert one.allclose(ParabolicSymbol.constant(FLAT1, 1.0))
 
 
 def test_mul_matches_pointwise_square():
     q = ParabolicSymbol(FLAT1, {((0,), -1): CoefficientField.real_cosine(1, (1,))})
-    sq = symbol_mul(q, q)
+    sq = q * q
     x, xi, tau = 0.9, 1.2, -0.7 - 0.3j
     a = sq.evaluate(x, [xi], tau)
     b = q.evaluate(x, [xi], tau) ** 2
@@ -222,7 +218,7 @@ def test_mul_commutative_associative_dyadic():
 
 def test_mul_form_mismatch():
     with pytest.raises(FormMismatchError):
-        symbol_mul(lambda_power(FLAT1, -1), lambda_power(perturbed_form(), -1))
+        lambda_power(FLAT1, -1) * lambda_power(perturbed_form(), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +227,14 @@ def test_mul_form_mismatch():
 
 
 def test_deriv_xi_of_quadratic():
-    q = quadratic_symbol(FLAT1)  # |xi|^2
-    dq = symbol_deriv(q, ("xi", 0))
+    q = ParabolicSymbol(FLAT1, {((2,), 0): CoefficientField.constant(1, 1.0)})  # |xi|^2
+    dq = q.deriv(("xi", 0))
     expect = ParabolicSymbol(FLAT1, {((1,), 0): CoefficientField.constant(1, 2.0)})
     assert dq.allclose(expect)
 
 
 def test_deriv_tau_of_lambda_inverse():
-    dq = symbol_deriv(lambda_power(FLAT1, -1), "tau")
+    dq = lambda_power(FLAT1, -1).deriv("tau")
     assert dq.allclose(lambda_power(FLAT1, -2).scale(-1j))
 
 
@@ -246,7 +242,7 @@ def test_deriv_x_perturbed_metric_closed_form():
     # d/dx [cos x * Lambda^-1] = -sin x Lambda^-1 + cos x (1/2 sin x) xi^2 Lambda^-2
     G = perturbed_form()
     q = ParabolicSymbol(G, {((0,), -1): CoefficientField.real_cosine(1, (1,))})
-    dq = symbol_deriv(q, ("x", 0))
+    dq = q.deriv(("x", 0))
     expect = ParabolicSymbol(G, {
         ((0,), -1): CoefficientField.real_sine(1, (1,), -1.0),
         ((2,), -2): CoefficientField.real_cosine(1, (1,)) *
@@ -267,7 +263,7 @@ def test_deriv_finite_difference_all_kinds(var):
         ((1,), -1): CoefficientField.real_cosine(1, (1,), 0.8),
         ((0,), -2): CoefficientField.constant(1, 1.0),
     })
-    dq = symbol_deriv(q, var)
+    dq = q.deriv(var)
     rng = np.random.default_rng(17)
     h = 1e-5
     for _ in range(6):
@@ -291,9 +287,9 @@ def test_deriv_finite_difference_all_kinds(var):
 def test_deriv_degree_shifts():
     G = perturbed_form()
     q = ParabolicSymbol(G, {((1,), -2): CoefficientField.real_cosine(1, (1,))})
-    assert symbol_deriv(q, ("xi", 0)).order == q.order - 1
-    assert symbol_deriv(q, "tau").order == q.order - 2
-    assert symbol_deriv(q, ("x", 0)).order == q.order
+    assert q.deriv(("xi", 0)).order == q.order - 1
+    assert q.deriv("tau").order == q.order - 2
+    assert q.deriv(("x", 0)).order == q.order
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +299,18 @@ def test_deriv_degree_shifts():
 
 def test_eval_examples():
     lam_inv = lambda_power(FLAT1, -1)
-    assert abs(symbol_eval(lam_inv, 0.0, [0.0], -1j) - 1.0) < 1e-14
+    assert abs(lam_inv.evaluate(0.0, [0.0], -1j) - 1.0) < 1e-14
     p = lambda_power(FLAT1, 1)
-    assert abs(symbol_eval(p, 0.0, [1.0], 2.0) - (1.0 + 2.0j)) < 1e-14
+    assert abs(p.evaluate(0.0, [1.0], 2.0) - (1.0 + 2.0j)) < 1e-14
     lam_inv2 = lambda_power(FLAT1, -2)
-    assert abs(symbol_eval(lam_inv2, 0.0, [1.0], 0.0) - 1.0) < 1e-14
+    assert abs(lam_inv2.evaluate(0.0, [1.0], 0.0) - 1.0) < 1e-14
 
 
 def test_eval_pole_raises():
     with pytest.raises(SingularityError):
-        symbol_eval(lambda_power(FLAT1, -1), 0.0, [0.0], 0.0)
+        lambda_power(FLAT1, -1).evaluate(0.0, [0.0], 0.0)
+    with pytest.raises(SingularityError):
+        lambda_power(FLAT1, -1).evaluate(0.0, [0.0], np.array([1.0, 0.0]))
 
 
 def test_eval_tau_grid_matches_scalar():
@@ -321,7 +319,8 @@ def test_eval_tau_grid_matches_scalar():
         ((0,), -2): CoefficientField.constant(1, 0.5),
     })
     taus = np.linspace(-30, 30, 7)
-    grid = q.evaluate_tau_grid(0.4, [1.2], taus)
+    grid = q.evaluate(0.4, [1.2], taus)
+    assert grid.shape == taus.shape
     for i, tau in enumerate(taus):
         assert abs(grid[i] - q.evaluate(0.4, [1.2], tau)) < 1e-13
 
@@ -332,6 +331,10 @@ def test_eval_tau_grid_matches_scalar():
 
 
 def test_aniso_norm_bound_on_shell():
+    def aniso_norm(xi, tau):
+        """(|xi|^2 + |tau|)^(1/2), degree 1 under the parabolic dilation."""
+        return float(np.sqrt(np.dot(xi, xi) + abs(tau)))
+
     rng = np.random.default_rng(23)
     q = ParabolicSymbol(FLAT2, {
         ((1, 1), -1): CoefficientField.constant(2, 0.7),
