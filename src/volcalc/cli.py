@@ -31,7 +31,7 @@ from .semigroup import (
     resolvent_bound_check,
 )
 from .specfile import SpecFileError, load_operator_spec
-from .symcore import NotPositiveDefiniteError
+from .symcore import DomainError, NotPositiveDefiniteError
 from .validate import CRITERIA, run_acceptance
 from .volterra import (
     CausalKernel,
@@ -118,13 +118,17 @@ def cmd_heat_coeffs(args):
             tol = max(1e-2, 0.02 * float(np.max(np.abs(sym))))
             table.add(f"fit check q_{entry.j}", symbolic=float(np.max(np.abs(sym))),
                       numeric=float(np.max(np.abs(got))), error=err, tolerance=tol)
+        table.add("fit residual", numeric=fit.residual, passed=True)
+        table.add("fit design condition", numeric=fit.condition, passed=True)
     return _emit(table, args.out)
 
 
 def cmd_semigroup(args):
     op = _load(args.op)
-    disc = discretize(op, args.modes)
     ts = args.t
+    if min(ts) <= 0:
+        raise DomainError("--t needs positive times")
+    disc = discretize(op, args.modes)
     table = ReportTable(f"semigroup checks for {op.name} (n={args.modes})")
     quad = lambda t: ContourQuadrature(nodes_per_ray=420,
                                        s_max=max(40.0, 40.0 / t), refine=2)
@@ -303,7 +307,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -14,7 +14,6 @@ OperatorSpec and dense linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -61,11 +60,15 @@ class DiscretizedOperator:
     cutoffs cheap.  Nonnegativity of the Hermitian part is recorded rather
     than enforced: the semigroup-theoretic checks (contractivity, bounded
     approximants) require it, plain heat diagonals do not.
+
+    `freqs` is the (size, d) int array of the basis frequencies k, in
+    lexicographic order (the last coordinate varies fastest); row and column
+    i of the matrix belong to freqs[i].
     """
 
     n: int
     dim: int
-    freqs: tuple
+    freqs: np.ndarray
     is_hermitian: bool
     min_sym_eig: float
     diagonal: np.ndarray | None = None
@@ -106,27 +109,23 @@ def discretize(op: OperatorSpec, n: int) -> DiscretizedOperator:
     if n < 4:
         raise DomainError("mode cutoff must be >= 4")
     d = op.dim
+    shape = (2 * n + 1,) * d
     size = (2 * n + 1) ** d
-    fields = [op.metric.entries[i][j] for i in range(d) for j in range(d)]
-    fields += list(op.drift) + [op.potential]
-    constant = all(f.max_freq() == 0 for f in fields)
+    freqs = np.indices(shape).reshape(d, size).T - n
+    k = freqs.astype(float)
+    # each multiplication operator: (coefficient field, weight over columns k)
+    terms = [(op.metric.entries[i][j], k[:, i] * k[:, j])
+             for i in range(d) for j in range(d)]
+    terms += [(op.drift[j], 1j * k[:, j]) for j in range(d)]
+    terms.append((op.potential, np.ones(size)))
+    constant = all(f.max_freq() == 0 for f, _ in terms)
     if not constant and size > MAX_DENSE_MODES:
         raise DomainError(
             f"mode cutoff {n} needs a dense Galerkin matrix of {size} modes; "
             f"at most {MAX_DENSE_MODES} are supported")
-    freqs = tuple(_cartesian(*([range(-n, n + 1)] * d)))
-    kmat = np.array(freqs, dtype=float)
 
     if constant:
-        diag = np.zeros(size, dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                g = op.metric.entries[i][j].amplitudes.get((0,) * d, 0.0)
-                diag += g * kmat[:, i] * kmat[:, j]
-        for j in range(d):
-            b = op.drift[j].amplitudes.get((0,) * d, 0.0)
-            diag += 1j * b * kmat[:, j]
-        diag += op.potential.amplitudes.get((0,) * d, 0.0)
+        diag = sum(f.amplitudes.get((0,) * d, 0.0) * weight for f, weight in terms)
         is_herm = bool(np.max(np.abs(diag.imag)) <= 1e-12 * max(1.0, np.max(np.abs(diag))))
         if is_herm:
             diag = diag.real.astype(complex)
@@ -134,30 +133,13 @@ def discretize(op: OperatorSpec, n: int) -> DiscretizedOperator:
         return DiscretizedOperator(n, d, freqs, is_herm, sym_min,
                                    diagonal=diag, name=op.name)
 
-    index = {k: i for i, k in enumerate(freqs)}
     M = np.zeros((size, size), dtype=complex)
-
-    def add_band(amp_map, weight):
-        # weight(k) is a vector over all columns k
-        for r, c in amp_map.items():
-            rows = np.full(size, -1, dtype=int)
-            for col, k in enumerate(freqs):
-                shifted = tuple(a + b for a, b in zip(k, r))
-                rows[col] = index.get(shifted, -1)
-            valid = rows >= 0
-            M[rows[valid], np.nonzero(valid)[0]] += c * weight[valid]
-
-    for i in range(d):
-        for j in range(d):
-            g = op.metric.entries[i][j]
-            if not g.is_zero():
-                add_band(g.amplitudes, kmat[:, i] * kmat[:, j])
-    for j in range(d):
-        b = op.drift[j]
-        if not b.is_zero():
-            add_band(b.amplitudes, 1j * kmat[:, j])
-    if not op.potential.is_zero():
-        add_band(op.potential.amplitudes, np.ones(size))
+    for f, weight in terms:
+        for r, c in f.amplitudes.items():
+            # amplitude c_r couples column k to row m = k + r
+            rows = freqs + r
+            cols = np.flatnonzero(np.all(np.abs(rows) <= n, axis=1))
+            M[np.ravel_multi_index((rows[cols] + n).T, shape), cols] += c * weight[cols]
 
     herm_defect = np.max(np.abs(M - M.conj().T))
     scale = max(1.0, np.max(np.abs(M)))
@@ -343,20 +325,15 @@ def heat_diagonal(disc: DiscretizedOperator, times, n_x=128):
     """
     times = np.asarray(times, dtype=float)
     d = disc.dim
-    kmat = np.array(disc.freqs, dtype=float)
-    if d == 1:
-        grid = (2.0 * np.pi * np.arange(n_x) / n_x).reshape(-1, 1)
-    else:
-        ax = 2.0 * np.pi * np.arange(n_x) / n_x
-        mesh = np.meshgrid(*([ax] * d), indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    ax = 2.0 * np.pi * np.arange(n_x) / n_x
+    grid = ax[np.indices((n_x,) * d).reshape(d, -1).T]
     if disc.diagonal is not None:
         # constant coefficients: diagonal in x, no dense algebra needed
         out = np.empty((times.size, grid.shape[0]))
         for i, t in enumerate(times):
             out[i] = np.sum(np.exp(-t * disc.diagonal)).real
         return out * (2.0 * np.pi) ** (-d), grid
-    V = np.exp(1j * grid @ kmat.T)  # (n_points, size)
+    V = np.exp(1j * grid @ disc.freqs.T)  # (n_points, size)
     A = disc.matrix
     out = np.empty((times.size, V.shape[0]))
     if disc.is_hermitian:

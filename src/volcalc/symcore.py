@@ -72,25 +72,37 @@ def xi_monomial(xi, beta):
 class CoefficientField:
     """Trigonometric polynomial sum_k c_k exp(i<k, x>) on the d-torus.
 
-    Frequencies k are integer tuples of length d; amplitudes are complex
-    doubles.  Exactly-zero amplitudes are dropped at construction.
+    Amplitude c_k (k an integer tuple of length d) is stored at index k + K
+    of a complex array of shape (2K+1,)*d, a box centred on frequency 0, with
+    K the smallest radius that holds every nonzero amplitude.  The zero field
+    is a K = 0 box holding 0.
     """
 
-    __slots__ = ("dim", "_amp")
+    __slots__ = ("dim", "_box")
 
     def __init__(self, dim, amplitudes=None):
         self.dim = int(dim)
         if self.dim < 1:
             raise DomainError("dimension must be >= 1")
-        amp = {}
-        for k, c in (amplitudes or {}).items():
-            key = tuple(int(ki) for ki in (k if isinstance(k, tuple) else (k,)))
+        amplitudes = amplitudes or {}
+        keys = [tuple(int(ki) for ki in (k if isinstance(k, tuple) else (k,)))
+                for k in amplitudes]
+        for key in keys:
             if len(key) != self.dim:
                 raise ValueError(f"frequency {key} has wrong length for d={self.dim}")
-            c = complex(c)
-            if c != 0:
-                amp[key] = amp.get(key, 0.0 + 0.0j) + c
-        self._amp = {k: c for k, c in amp.items() if c != 0}
+        K = max((abs(f) for key in keys for f in key), default=0)
+        box = np.zeros((2 * K + 1,) * self.dim, dtype=complex)
+        for key, c in zip(keys, amplitudes.values()):
+            box[tuple(f + K for f in key)] += complex(c)
+        self._box = _trimmed(box)
+
+    @classmethod
+    def _from_box(cls, dim, box):
+        """Field on a centred box that no caller keeps; trims it."""
+        f = object.__new__(cls)
+        f.dim = dim
+        f._box = _trimmed(box)
+        return f
 
     # -- constructors ------------------------------------------------------
 
@@ -124,53 +136,50 @@ class CoefficientField:
     def from_grid(cls, values, prune_rel=1e-13):
         """Project samples on the uniform grid x_j = 2*pi*j/n back to amplitudes."""
         values = np.asarray(values, dtype=complex)
-        dim = values.ndim
         n = values.shape[0]
         if any(s != n for s in values.shape):
             raise ValueError("grid must be square")
-        coef = np.fft.fftn(values) / values.size
-        freqs = (np.fft.fftfreq(n, d=1.0 / n).astype(int),) * dim
-        amp = {}
+        coef = np.fft.fftshift(np.fft.fftn(values) / values.size)
+        if n % 2 == 0:  # -n/2 .. n/2 - 1: Nyquist stays at -n/2; close the box at +n/2
+            coef = np.pad(coef, [(0, 1)] * values.ndim)
         cutoff = prune_rel * max(np.max(np.abs(coef)), 1e-300)
-        for idx in np.ndindex(values.shape):
-            c = coef[idx]
-            if abs(c) > cutoff:
-                amp[tuple(int(freqs[a][i]) for a, i in enumerate(idx))] = complex(c)
-        return cls(dim, amp)
+        coef[np.abs(coef) <= cutoff] = 0.0
+        return cls._from_box(values.ndim, coef)
 
     # -- queries -----------------------------------------------------------
 
     @property
     def amplitudes(self):
-        return dict(self._amp)
+        """{frequency tuple: amplitude} of the nonzero amplitudes."""
+        nz = np.nonzero(self._box)
+        keys = np.transpose(nz) - self.max_freq()
+        return dict(zip(map(tuple, keys.tolist()), self._box[nz].tolist()))
 
     def is_zero(self) -> bool:
-        return not self._amp
+        return self._box.size == 1 and self._box.item() == 0
 
     def norm_inf(self) -> float:
-        return max((abs(c) for c in self._amp.values()), default=0.0)
+        return float(np.max(np.abs(self._box)))
 
     def max_freq(self) -> int:
-        return max((max(abs(f) for f in k) for k in self._amp), default=0)
+        return self._box.shape[0] // 2
 
     def is_real(self, tol=1e-12) -> bool:
         """Check the reality condition c_{-k} = conj(c_k)."""
         scale = max(self.norm_inf(), 1.0)
-        for k, c in self._amp.items():
-            mk = tuple(-f for f in k)
-            if abs(self._amp.get(mk, 0.0) - np.conj(c)) > tol * scale:
-                return False
-        return True
+        mirrored = self._box[(slice(None, None, -1),) * self.dim]
+        return bool(np.all(np.abs(mirrored - np.conj(self._box)) <= tol * scale))
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.dim == other.dim \
-            and self._amp == other._amp
+            and np.array_equal(self._box, other._box)
 
     def __hash__(self):
-        return hash((self.dim, tuple(sorted(self._amp.items()))))
+        # boxes are trimmed and hold no -0.0, so equal fields have equal bytes
+        return hash((self.dim, self._box.tobytes()))
 
     def __repr__(self):
-        parts = [f"{c:.6g}*e^(i<{k},x>)" for k, c in sorted(self._amp.items())]
+        parts = [f"{c:.6g}*e^(i<{k},x>)" for k, c in self.amplitudes.items()]
         return "CoefficientField(" + (" + ".join(parts) if parts else "0") + ")"
 
     # -- algebra -----------------------------------------------------------
@@ -178,40 +187,45 @@ class CoefficientField:
     def __add__(self, other):
         if not isinstance(other, CoefficientField):
             return NotImplemented
-        amp = dict(self._amp)
-        for k, c in other._amp.items():
-            amp[k] = amp.get(k, 0.0) + c
-        return CoefficientField(self.dim, amp)
+        if other.dim != self.dim:
+            raise ValueError(f"cannot add fields of dimensions {self.dim} and {other.dim}")
+        small, big = sorted((self._box, other._box), key=len)
+        out = big.copy()
+        lo = (len(big) - len(small)) // 2
+        out[(slice(lo, lo + len(small)),) * self.dim] += small
+        return CoefficientField._from_box(self.dim, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return CoefficientField(self.dim, {k: -c for k, c in self._amp.items()})
+        return CoefficientField._from_box(self.dim, -self._box)
 
     def __mul__(self, other):
-        if isinstance(other, CoefficientField):
-            amp = {}
-            for k1, c1 in self._amp.items():
-                for k2, c2 in other._amp.items():
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    amp[k] = amp.get(k, 0.0) + c1 * c2
-            return CoefficientField(self.dim, amp)
-        return self.scale(other)
+        """Direct convolution of the amplitudes (no FFT, so dyadic data stays exact)."""
+        if not isinstance(other, CoefficientField):
+            return self.scale(other)
+        if other.dim != self.dim:
+            raise ValueError(f"cannot multiply fields of dimensions {self.dim} and {other.dim}")
+        width = len(self._box) + len(other._box) - 1
+        # with the trailing axes padded to the product's width, one 1-D
+        # convolution of the flattened boxes has no wrap-around
+        a, b = _padded(self._box, width), _padded(other._box, width)
+        out = np.convolve(a.ravel(), b.ravel())[:width ** self.dim]
+        return CoefficientField._from_box(self.dim, out.reshape((width,) * self.dim))
 
     __rmul__ = __mul__
 
     def scale(self, factor):
-        factor = complex(factor)
-        return CoefficientField(self.dim, {k: factor * c for k, c in self._amp.items()})
+        return CoefficientField._from_box(self.dim, complex(factor) * self._box)
 
     def deriv(self, axis: int):
         """Exact partial derivative along x_axis: c_k -> i*k_axis*c_k."""
         if not 0 <= axis < self.dim:
             raise DomainError(f"axis {axis} out of range for d={self.dim}")
-        return CoefficientField(
-            self.dim, {k: 1j * k[axis] * c for k, c in self._amp.items() if k[axis] != 0}
-        )
+        K = self.max_freq()
+        ik = 1j * np.arange(-K, K + 1).reshape((-1,) + (1,) * (self.dim - 1 - axis))
+        return CoefficientField._from_box(self.dim, ik * self._box)
 
     # -- evaluation --------------------------------------------------------
 
@@ -234,10 +248,36 @@ class CoefficientField:
     def evaluate(self, x):
         """Evaluate at one point (complex scalar) or a batch (complex array)."""
         pts, single = self._points(x)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for k, c in self._amp.items():
-            out += c * np.exp(1j * (pts @ np.asarray(k, dtype=float)))
+        K = self.max_freq()
+        if K == 0:  # a constant: no waves to build
+            c = self._box.flat[0]
+            return c if single else np.full(len(pts), c)
+        # waves[a, j, p] = exp(i * (j - K) * x_a) at point p, contracted axis by axis
+        waves = np.exp(1j * (np.arange(-K, K + 1)[:, None] * pts.T[:, None, :]))
+        out = self._box @ waves[-1]
+        for w in waves[-2::-1]:
+            out = (out * w).sum(axis=-2)
         return out[0] if single else out
+
+
+def _trimmed(box):
+    """The smallest centred sub-box holding every nonzero entry of `box`."""
+    box += 0.0  # in place: -0.0 becomes 0.0, so equal fields have equal bytes
+    nonzero = np.count_nonzero(box)
+    if not nonzero:
+        K = box.shape[0] // 2
+        return box[(slice(K, K + 1),) * box.ndim]
+    inner = (slice(1, -1),) * box.ndim
+    while len(box) > 1 and np.count_nonzero(box[inner]) == nonzero:
+        box = box[inner]
+    return box
+
+
+def _padded(box, width):
+    """box zero-padded at the end of every axis but the first to `width`."""
+    out = np.zeros((len(box),) + (width,) * (box.ndim - 1), dtype=complex)
+    out[(slice(None),) + (slice(0, len(box)),) * (box.ndim - 1)] = box
+    return out
 
 
 class QuadraticForm:
@@ -261,7 +301,7 @@ class QuadraticForm:
                     raise TypeError("entries must be CoefficientField")
                 if rows[i][j].dim != self.dim:
                     raise ValueError("entry dimension mismatch")
-                if rows[i][j]._amp != rows[j][i]._amp:
+                if rows[i][j] != rows[j][i]:
                     raise ValueError(f"g[{i}][{j}] != g[{j}][{i}]: form must be symmetric")
         self.entries = rows
         if check_positive:
@@ -288,10 +328,7 @@ class QuadraticForm:
         return cls(ent)
 
     def __eq__(self, other):
-        return isinstance(other, QuadraticForm) and self.dim == other.dim and all(
-            self.entries[i][j]._amp == other.entries[i][j]._amp
-            for i in range(self.dim) for j in range(self.dim)
-        )
+        return isinstance(other, QuadraticForm) and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.dim, tuple(tuple(e for e in row) for row in self.entries)))
@@ -371,7 +408,7 @@ class ParabolicSymbol:
             if coeff.is_zero():
                 continue
             key = (beta, int(lpow))
-            tmap[key] = tmap.get(key, CoefficientField.zero(d)) + coeff
+            tmap[key] = tmap[key] + coeff if key in tmap else coeff
         self._terms = {k: c for k, c in tmap.items() if not c.is_zero()}
         top = max((sum(b) + 2 * l for (b, l) in self._terms), default=None)
         if order is None:
@@ -439,14 +476,8 @@ class ParabolicSymbol:
     def allclose(self, other, tol=1e-12):
         if self.form != other.form:
             return False
-        keys = set(self._terms) | set(other._terms)
         scale = max(self.coeff_norm(), other.coeff_norm(), 1.0)
-        zero = CoefficientField.zero(self.dim)
-        for k in keys:
-            diff = self._terms.get(k, zero) - other._terms.get(k, zero)
-            if diff.norm_inf() > tol * scale:
-                return False
-        return True
+        return (self - other).coeff_norm() <= tol * scale
 
     def __repr__(self):
         return (f"ParabolicSymbol(order={self.order}, terms={len(self._terms)}, "
@@ -464,7 +495,7 @@ class ParabolicSymbol:
         self._check_form(other)
         tmap = dict(self._terms)
         for k, c in other._terms.items():
-            tmap[k] = tmap.get(k, CoefficientField.zero(self.dim)) + c
+            tmap[k] = tmap[k] + c if k in tmap else c
         return ParabolicSymbol(self.form, tmap, order=max(self.order, other.order))
 
     __radd__ = __add__
@@ -490,12 +521,11 @@ class ParabolicSymbol:
             return self.scale(other)
         self._check_form(other)
         tmap = {}
-        d = self.dim
         for (b1, l1), c1 in self._terms.items():
             for (b2, l2), c2 in other._terms.items():
                 key = (tuple(a + b for a, b in zip(b1, b2)), l1 + l2)
                 prod = c1 * c2
-                tmap[key] = tmap.get(key, CoefficientField.zero(d)) + prod
+                tmap[key] = tmap[key] + prod if key in tmap else prod
         return ParabolicSymbol(self.form, tmap, order=self.order + other.order)
 
     __rmul__ = __mul__
@@ -521,7 +551,7 @@ class ParabolicSymbol:
         def _acc(key, coeff):
             if coeff.is_zero():
                 return
-            out[key] = out.get(key, CoefficientField.zero(d)) + coeff
+            out[key] = out[key] + coeff if key in out else coeff
 
         if var == "tau":
             for (beta, l), c in self._terms.items():

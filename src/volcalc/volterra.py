@@ -150,15 +150,8 @@ def operator_symbol(op: OperatorSpec) -> ParabolicSymbol:
     d = op.dim
     tmap = {((0,) * d, 1): CoefficientField.constant(d, 1.0)}
     for j in range(d):
-        b = op.drift[j]
-        if not b.is_zero():
-            beta = [0] * d
-            beta[j] = 1
-            key = (tuple(beta), 0)
-            tmap[key] = tmap.get(key, CoefficientField.zero(d)) + b.scale(1j)
-    if not op.potential.is_zero():
-        key = ((0,) * d, 0)
-        tmap[key] = tmap.get(key, CoefficientField.zero(d)) + op.potential
+        tmap[(tuple(int(i == j) for i in range(d)), 0)] = op.drift[j].scale(1j)
+    tmap[((0,) * d, 0)] = op.potential
     return ParabolicSymbol(op.metric, tmap, order=2)
 
 

@@ -187,3 +187,44 @@ def test_cli_validate_out_byte_identical(tmp_path, capsys):
     main(["validate", "--only", "1", "2", "--out", str(out1)])
     main(["validate", "--only", "1", "2", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["heat-coeffs", "--J", "9"],
+    ["heat-coeffs", "--J", "-1"],
+    ["semigroup", "--modes", "3"],
+    ["parametrix", "--depth", "-1"],
+    ["deform", "--hbar", "1.5"],
+    ["semigroup", "--t", "0"],
+], ids=["J_above_8", "J_negative", "modes_below_4", "depth_negative", "hbar_above_1",
+        "t_zero"])
+def test_cli_out_of_range_argument_exit_2(argv, capsys):
+    assert main(argv + ["--op", FLAT_1D]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["parametrix"],
+    ["heat-coeffs"],
+    ["causality", "--grid", "4096,200"],
+    ["deform"],
+    ["semigroup", "--modes", "8"],
+], ids=lambda argv: argv[0])
+def test_cli_out_byte_identical(argv, tmp_path, capsys):
+    runs = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        assert main(argv + ["--op", COSINE, "--out", str(path)]) == 0
+        runs.append(path.read_bytes())
+    assert runs[0] == runs[1]
+
+
+def test_cli_heat_coeffs_fit_diagnostic_rows(tmp_path, capsys):
+    path = tmp_path / "heat.json"
+    assert main(["heat-coeffs", "--op", FLAT_1D, "--J", "2", "--validate",
+                 "--out", str(path)]) == 0
+    rows = {r["quantity"]: r for r in json.loads(path.read_text())["rows"]}
+    for name in ("fit residual", "fit design condition"):
+        assert rows[name]["pass"] is True
+        assert rows[name]["tolerance"] is None
+        assert rows[name]["numeric"] >= 0.0

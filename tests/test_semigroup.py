@@ -48,10 +48,35 @@ def test_cosine_off_band_stencil():
     disc = discretize(CORPUS["cosine_potential"], 8)
     M = disc.matrix
     assert disc.is_hermitian
-    idx = {k: i for i, k in enumerate(disc.freqs)}
+    k1 = disc.freqs[:, 0]
     for k in range(-7, 7):
-        assert abs(M[idx[(k + 1,)], idx[(k,)]] - 0.5) < 1e-14
+        row, col = np.flatnonzero(k1 == k + 1)[0], np.flatnonzero(k1 == k)[0]
+        assert abs(M[row, col] - 0.5) < 1e-14
     assert disc.min_sym_eig < 0  # Mathieu ground state dips below zero
+
+
+def test_discretize_2d_variable_coefficients_oracle():
+    n = 4
+    cos = CoefficientField.real_cosine
+    g11 = CoefficientField.constant(2, 1.0) + cos(2, (1, 0), 0.4)
+    g12 = cos(2, (0, 1), 0.2)
+    g22 = CoefficientField.constant(2, 1.0)
+    zero = CoefficientField.zero(2)
+    op = OperatorSpec(QuadraticForm([[g11, g12], [g12, g22]]), (zero, zero),
+                      cos(2, (1, 1)), "variable_2d")
+    disc = discretize(op, n)
+    assert disc.freqs.dtype.kind == "i"
+    assert disc.freqs.shape == (81, 2)
+    freqs = [tuple(k) for k in disc.freqs.tolist()]
+    assert freqs == [(a, b) for a in range(-n, n + 1) for b in range(-n, n + 1)]
+    g = [[g11.amplitudes, g12.amplitudes], [g12.amplitudes, g22.amplitudes]]
+    v = op.potential.amplitudes
+    for row, m in enumerate(freqs):
+        for col, k in enumerate(freqs):
+            r = (m[0] - k[0], m[1] - k[1])
+            expect = sum(g[i][j].get(r, 0.0) * k[i] * k[j]
+                         for i in range(2) for j in range(2)) + v.get(r, 0.0)
+            assert abs(disc.matrix[row, col] - expect) <= 1e-14
 
 
 def test_discretize_minimum_cutoff():

@@ -59,6 +59,47 @@ def test_field_grid_round_trip():
         assert abs(back.amplitudes[k] - c) < 1e-12
 
 
+def test_field_cancellation_trims_the_box():
+    one = CoefficientField.constant(1, 1.0)
+    cos3 = CoefficientField.real_cosine(1, (3,))
+    f = (cos3 + one) + (-cos3)
+    assert f == one
+    assert f.max_freq() == 0
+    assert hash(f) == hash(one)
+    assert one - one == CoefficientField.zero(1)
+
+
+def test_equal_fields_hash_equal_across_signed_zero():
+    # scaling by -1.0 turns the zero imaginary parts into -0.0
+    a = CoefficientField(1, {1: 1.0, -1: 1.0}).scale(-1.0)
+    b = CoefficientField(1, {1: -1.0, -1: -1.0})
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_from_grid_keeps_only_negative_nyquist(dim):
+    ax = 2 * np.pi * np.arange(8) / 8
+    x1 = np.meshgrid(*([ax] * dim), indexing="ij")[0]
+    f = CoefficientField.from_grid(np.cos(4 * x1))
+    assert f.amplitudes == {(-4,) + (0,) * (dim - 1): 1}
+
+
+def test_field_evaluate_matches_naive_sum():
+    rng = np.random.default_rng(11)
+    amp = {(i, j): complex(*rng.standard_normal(2))
+           for i in range(-2, 3) for j in range(-3, 2)}
+    f = CoefficientField(2, amp)
+    assert len(f.amplitudes) == 25
+
+    def naive(x):
+        return sum(c * np.exp(1j * (k[0] * x[0] + k[1] * x[1])) for k, c in amp.items())
+
+    x0 = np.array([0.7, -1.9])
+    assert abs(f.evaluate(x0) - naive(x0)) <= 1e-13
+    pts = rng.uniform(0.0, 2 * np.pi, (50, 2))
+    assert np.max(np.abs(f.evaluate(pts) - np.array([naive(p) for p in pts]))) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # quadratic forms
 # ---------------------------------------------------------------------------

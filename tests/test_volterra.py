@@ -72,8 +72,8 @@ def test_operator_symbol_plane_wave_oracle():
     a_sym = operator_symbol(op)  # at tau = 0 the symbol of d/dt + A is that of A
     x0 = 0.4
     for k in (3, -2):
-        col = disc.freqs.index((k,))
-        applied = sum(disc.matrix[row, col] * np.exp(1j * disc.freqs[row][0] * x0)
+        col = int(np.flatnonzero(disc.freqs[:, 0] == k)[0])
+        applied = sum(disc.matrix[row, col] * np.exp(1j * disc.freqs[row, 0] * x0)
                       for row in range(disc.size))
         expect = a_sym.evaluate(x0, [float(k)], 0.0) * np.exp(1j * k * x0)
         assert abs(applied - expect) <= 1e-10 * max(1.0, abs(expect))
