@@ -32,7 +32,7 @@ from .semigroup import (
 )
 from .specfile import SpecFileError, load_operator_spec
 from .symcore import DomainError, NotPositiveDefiniteError
-from .validate import CRITERIA, run_acceptance
+from .validate import CRITERIA, add_fit_diagnostics, run_acceptance
 from .volterra import (
     CausalKernel,
     CausalityGrid,
@@ -118,8 +118,7 @@ def cmd_heat_coeffs(args):
             tol = max(1e-2, 0.02 * float(np.max(np.abs(sym))))
             table.add(f"fit check q_{entry.j}", symbolic=float(np.max(np.abs(sym))),
                       numeric=float(np.max(np.abs(got))), error=err, tolerance=tol)
-        table.add("fit residual", numeric=fit.residual, passed=True)
-        table.add("fit design condition", numeric=fit.condition, passed=True)
+        add_fit_diagnostics(table, fit)
     return _emit(table, args.out)
 
 
@@ -132,6 +131,10 @@ def cmd_semigroup(args):
     table = ReportTable(f"semigroup checks for {op.name} (n={args.modes})")
     quad = lambda t: ContourQuadrature(nodes_per_ray=420,
                                        s_max=max(40.0, 40.0 / t), refine=2)
+    if args.check in ("semigroup", "contraction", "reference"):
+        for t in ts:
+            table.add(f"contour nodes per ray t={t}", numeric=len(quad(t).nodes(t)[0]),
+                      passed=True)
     if args.check == "semigroup":
         if len(ts) != 3 or abs(ts[0] + ts[1] - ts[2]) > 1e-12:
             print("error: --check semigroup needs t1 t2 t3 with t1 + t2 = t3",

@@ -7,6 +7,12 @@ contour quadrature of exp(-tQ) = (1/2*pi*i) int_Gamma e^{-t*lambda}
 approximants Q_lam = lam*Id - lam^2 (Q + lam)^{-1}, and weighted
 least-squares extraction of the small-time diagonal expansion.
 
+The contour resolvents are solved without eigenvalues: a Hermitian matrix is
+reduced once to tridiagonal form, whose shifted systems cost O(n^2) each,
+and a conjugate symmetry of the matrix (Hermitian, or the k -> -k mirror of
+a real-coefficient Galerkin matrix) turns the lower ray's resolvents into
+the upper ray's, so only one ray is solved.
+
 Everything here is independent of the symbol calculus: it only consumes an
 OperatorSpec and dense linear algebra.
 """
@@ -17,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm
+from scipy.linalg import expm, hessenberg
+from scipy.linalg.lapack import zgtsv
 
 from .symcore import DomainError
 from .volterra import OperatorSpec
@@ -59,7 +66,8 @@ class DiscretizedOperator:
     this basis and are stored as the diagonal alone, which keeps large mode
     cutoffs cheap.  Nonnegativity of the Hermitian part is recorded rather
     than enforced: the semigroup-theoretic checks (contractivity, bounded
-    approximants) require it, plain heat diagonals do not.
+    approximants) require it, plain heat diagonals do not.  Its measure,
+    min_sym_eig, is computed on first read (a dense eigvalsh) and cached.
 
     `freqs` is the (size, d) int array of the basis frequencies k, in
     lexicographic order (the last coordinate varies fastest); row and column
@@ -70,7 +78,7 @@ class DiscretizedOperator:
     dim: int
     freqs: np.ndarray
     is_hermitian: bool
-    min_sym_eig: float
+    _min_sym_eig: float | None = None
     diagonal: np.ndarray | None = None
     _matrix: np.ndarray | None = None
     name: str = "operator"
@@ -78,6 +86,18 @@ class DiscretizedOperator:
     @property
     def size(self):
         return len(self.freqs)
+
+    @property
+    def min_sym_eig(self) -> float:
+        """Smallest eigenvalue of the Hermitian part (M + M^H) / 2."""
+        if self._min_sym_eig is None:
+            if self.diagonal is not None:
+                self._min_sym_eig = float(self.diagonal.real.min())
+            else:
+                M = self._matrix
+                self._min_sym_eig = float(
+                    np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min())
+        return self._min_sym_eig
 
     @property
     def matrix(self):
@@ -129,9 +149,7 @@ def discretize(op: OperatorSpec, n: int) -> DiscretizedOperator:
         is_herm = bool(np.max(np.abs(diag.imag)) <= 1e-12 * max(1.0, np.max(np.abs(diag))))
         if is_herm:
             diag = diag.real.astype(complex)
-        sym_min = float(diag.real.min())
-        return DiscretizedOperator(n, d, freqs, is_herm, sym_min,
-                                   diagonal=diag, name=op.name)
+        return DiscretizedOperator(n, d, freqs, is_herm, diagonal=diag, name=op.name)
 
     M = np.zeros((size, size), dtype=complex)
     for f, weight in terms:
@@ -146,9 +164,7 @@ def discretize(op: OperatorSpec, n: int) -> DiscretizedOperator:
     is_herm = herm_defect <= 1e-12 * scale
     if is_herm:
         M = 0.5 * (M + M.conj().T)
-    sym_min = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min())
-    return DiscretizedOperator(n, d, freqs, is_herm, sym_min,
-                               _matrix=M, name=op.name)
+    return DiscretizedOperator(n, d, freqs, is_herm, _matrix=M, name=op.name)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +235,24 @@ def _as_matrix(Q):
 
 
 def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
-    """exp(-tQ) by contour quadrature; one linear solve per node.
+    """exp(-tQ) by contour quadrature at the nodes of quad; no eigenvalues.
 
     Orientation: incoming on the lower ray, outgoing on the upper ray, which
     encloses the right-half-plane spectrum with the sign that reproduces
-    scalar exponentials.
+    scalar exponentials.  The lower ray's nodes and weights are the
+    conjugates of the upper ray's, so with X = sum_j c_j R(lam_j) over the
+    upper ray, R(lam) = (Q - lam)^{-1}, three cases are told apart by exact
+    comparisons:
+
+    1. Q Hermitian (size > 1): Q = Z T Z^H with T tridiagonal (Hessenberg
+       reduction, kept exactly Hermitian), one O(n^2) tridiagonal solve of
+       (T - lam) Y = I per upper-ray node, and R(conj lam) = R(lam)^H gives
+       E = Z (X - X^H) Z^H.
+    2. Q[::-1, ::-1] == conj(Q), as for every Galerkin matrix of an operator
+       with real coefficients (reversing the lexicographic freqs maps k to
+       -k): one dense solve per upper-ray node, and R(conj lam) is R(lam)
+       conjugated and reversed, so E = X - conj(X)[::-1, ::-1].
+    3. Otherwise one dense solve per node on both rays.
     """
     if not t > 0:
         raise DomainError("time must be positive")
@@ -231,19 +260,45 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     quad = quad or default_quadrature(t)
     if quad.s_max < 10.0 / t:
         raise ValueError(f"s_max={quad.s_max} too small for t={t}; need >= {10.0 / t}")
-    size = A.shape[0]
-    eye = np.eye(size, dtype=complex)
     s, w = quad.nodes(t)
-    total = np.zeros((size, size), dtype=complex)
-    for sgn in (+1.0, -1.0):
-        for si, wi in zip(s, w):
-            lam = quad.vertex + si * (1.0 + sgn * 1j)
-            try:
-                R = np.linalg.solve(A - lam * eye, eye)
-            except np.linalg.LinAlgError as exc:  # cannot happen on Gamma for PSD input
-                raise SpectrumSampleError(f"resolvent solve failed at {lam}") from exc
-            total += sgn * wi * np.exp(-t * lam) * (1.0 + sgn * 1j) * R
+    lams = quad.vertex + s * (1.0 + 1j)
+    coefs = w * np.exp(-t * lams) * (1.0 + 1j)
+    # zgtsv needs off-diagonals, so a 1x1 matrix takes a dense solve
+    if A.shape[0] > 1 and np.array_equal(A, A.conj().T):
+        H, Z = hessenberg(A, calc_q=True)
+        X = _tridiagonal_ray_sum(H.diagonal().real, H.diagonal(-1), lams, coefs)
+        total = Z @ (X - X.conj().T) @ Z.conj().T
+    elif np.array_equal(A[::-1, ::-1], A.conj()):
+        X = _ray_sum(A, lams, coefs)
+        total = X - X[::-1, ::-1].conj()
+    else:
+        total = _ray_sum(A, lams, coefs) - _ray_sum(A, lams.conj(), coefs.conj())
     return total / (2j * np.pi)
+
+
+def _ray_sum(A, lams, coefs):
+    """sum_j c_j (A - lam_j)^{-1}, one dense solve per node."""
+    eye = np.eye(A.shape[0], dtype=complex)
+    X = np.zeros_like(eye)
+    for lam, c in zip(lams, coefs):
+        try:
+            X += c * np.linalg.solve(A - lam * eye, eye)
+        except np.linalg.LinAlgError as exc:  # cannot happen on Gamma for PSD input
+            raise SpectrumSampleError(f"resolvent solve failed at {lam}") from exc
+    return X
+
+
+def _tridiagonal_ray_sum(diag, sub, lams, coefs):
+    """sum_j c_j (T - lam_j)^{-1} for T = tridiag(sub, diag, conj(sub))."""
+    eye = np.eye(diag.size, dtype=complex)
+    X = np.zeros_like(eye)
+    sup = sub.conj()
+    for lam, c in zip(lams, coefs):
+        *_, Y, info = zgtsv(sub, diag - lam, sup, eye)
+        if info > 0:
+            raise SpectrumSampleError(f"resolvent solve failed at {lam}")
+        X += c * Y
+    return X
 
 
 def matrix_heat_reference(Q, t) -> np.ndarray:

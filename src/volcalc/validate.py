@@ -38,7 +38,7 @@ from .volterra import (
     sharp_product,
 )
 
-__all__ = ["CRITERIA", "run_acceptance", "criterion_summary"]
+__all__ = ["CRITERIA", "run_acceptance", "criterion_summary", "add_fit_diagnostics"]
 
 Q0_FLAT_1D = (4.0 * np.pi) ** -0.5
 
@@ -46,6 +46,12 @@ Q0_FLAT_1D = (4.0 * np.pi) ** -0.5
 # ---------------------------------------------------------------------------
 # criterion implementations
 # ---------------------------------------------------------------------------
+
+
+def add_fit_diagnostics(table, fit):
+    """The fit's least-squares residual and design condition, as report rows."""
+    table.add("fit residual", numeric=fit.residual, passed=True)
+    table.add("fit design condition", numeric=fit.condition, passed=True)
 
 
 def criterion_1(corpus, rng):
@@ -71,6 +77,7 @@ def criterion_1(corpus, rng):
     for j in range(1, 5):
         table.add(f"fitted c_{j}", symbolic=0.0, numeric=c[j],
                   error=abs(c[j]), tolerance=1e-2)
+    add_fit_diagnostics(table, fit)
     # the gate carries no number, so that --out stays byte-identical across runs
     table.add("runtime within 30 s", passed=time.perf_counter() - t_start <= 30.0)
     return table
@@ -102,6 +109,7 @@ def criterion_2(corpus, rng):
         abse = np.max(np.abs(fitted[~inner] - truth[~inner]))
         table.add("fitted q_2 abs error (|cos x| < 0.2)", numeric=abse,
                   error=abse, tolerance=1e-2)
+    add_fit_diagnostics(table, fit)
     table.add("runtime within 120 s", passed=time.perf_counter() - t_start <= 120.0)
     return table
 
@@ -130,11 +138,14 @@ def criterion_4(corpus, rng):
     rand_psd = R @ R.T
     rand_psd *= 10.0 / np.linalg.eigvalsh(rand_psd).max()
     mats.append(("random_20x20_psd", rand_psd))
+    # refine=2 resolves resolvent features of complex (drift) eigenvalues
+    quads = {t: ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t),
+                                  refine=2) for t in (0.3, 0.7, 1.0)}
+    for t, quad in quads.items():
+        table.add(f"contour nodes per ray t={t}", numeric=len(quad.nodes(t)[0]),
+                  passed=True)
     for name, Q in mats:
-        # refine=2 resolves resolvent features of complex (drift) eigenvalues
-        Es = {t: dunford_heat(Q, t, ContourQuadrature(
-            nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2))
-            for t in (0.3, 0.7, 1.0)}
+        Es = {t: dunford_heat(Q, t, quad) for t, quad in quads.items()}
         err = max(np.linalg.norm(Es[t] - matrix_heat_reference(Q, t), 2)
                   for t in Es)
         table.add(f"dunford vs reference {name}", numeric=err, error=err,

@@ -7,6 +7,7 @@ import pytest
 
 from volcalc.cli import main
 from volcalc.report import ReportTable
+from volcalc.semigroup import ContourQuadrature
 from volcalc.specfile import (
     SpecFileError,
     corpus_dir,
@@ -223,6 +224,28 @@ def test_cli_heat_coeffs_fit_diagnostic_rows(tmp_path, capsys):
     path = tmp_path / "heat.json"
     assert main(["heat-coeffs", "--op", FLAT_1D, "--J", "2", "--validate",
                  "--out", str(path)]) == 0
+    rows = {r["quantity"]: r for r in json.loads(path.read_text())["rows"]}
+    for name in ("fit residual", "fit design condition"):
+        assert rows[name]["pass"] is True
+        assert rows[name]["tolerance"] is None
+        assert rows[name]["numeric"] >= 0.0
+
+
+def test_cli_semigroup_contour_node_rows(tmp_path, capsys):
+    path = tmp_path / "semigroup.json"
+    assert main(["semigroup", "--op", FLAT_1D, "--modes", "8", "--t", "0.3", "1.0",
+                 "--out", str(path)]) == 0
+    rows = {r["quantity"]: r for r in json.loads(path.read_text())["rows"]}
+    for t in (0.3, 1.0):
+        row = rows[f"contour nodes per ray t={t}"]
+        quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+        assert row["numeric"] == len(quad.nodes(t)[0])
+        assert row["pass"] is True and row["tolerance"] is None
+
+
+def test_cli_validate_fit_diagnostic_rows(tmp_path, capsys):
+    path = tmp_path / "validate.json"
+    assert main(["validate", "--only", "1", "--out", str(path)]) == 0
     rows = {r["quantity"]: r for r in json.loads(path.read_text())["rows"]}
     for name in ("fit residual", "fit design condition"):
         assert rows[name]["pass"] is True

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from volcalc.semigroup import (
     ContourQuadrature,
@@ -94,6 +95,33 @@ def test_discretize_refuses_oversized_dense_matrix():
         log_coefficient_estimate(op, 4, n_x=16)
 
 
+def test_min_sym_eig_computed_lazily_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    disc = discretize(CORPUS["cosine_potential"], 8)
+    assert len(calls) == 0
+    assert not disc.is_nonnegative()
+    assert len(calls) == 1
+    assert isinstance(disc.min_sym_eig, float) and disc.min_sym_eig < 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        disc.require_nonnegative()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_discretize_mirror_symmetry(name):
+    # real coefficients: reversing the lexicographic freqs maps k to -k and
+    # conjugates every entry, which dunford_heat uses to solve one ray only
+    M = discretize(CORPUS[name], 8).matrix
+    assert np.array_equal(M[::-1, ::-1], M.conj())
+
+
 def test_nonnegativity_gate():
     disc = discretize(CORPUS["cosine_potential"], 8)
     assert not disc.is_nonnegative()
@@ -148,6 +176,34 @@ def test_dunford_drift_needs_refined_panels():
     quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / 0.3), refine=2)
     E = dunford_heat(disc, 0.3, quad)
     assert np.linalg.norm(E - matrix_heat_reference(disc, 0.3), 2) <= 1e-10
+
+
+def test_dunford_general_complex_matrix_matches_expm():
+    # neither Hermitian nor mirror-symmetric: both rays are solved
+    rng = np.random.default_rng(7)
+    N = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    Q = np.diag([0.5, 1.0, 2.0, 3.5, 5.0, 8.0]) + 0.3 * N
+    assert not np.array_equal(Q, Q.conj().T)
+    assert not np.array_equal(Q[::-1, ::-1], Q.conj())
+    for t in (0.3, 1.0):
+        quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+        assert np.linalg.norm(dunford_heat(Q, t, quad) - expm(-t * Q), 2) <= 1e-10
+
+
+def test_dunford_hermitian_2d_variable_potential():
+    # cos(x1 + x2) + sin(x2): complex Hermitian, so T has complex off-diagonals
+    sine = CoefficientField(2, {(0, 1): -0.5j, (0, -1): 0.5j})
+    zero = CoefficientField.zero(2)
+    op = OperatorSpec(QuadraticForm.flat(2), (zero, zero),
+                      CoefficientField.real_cosine(2, (1, 1)) + sine, "potential_2d")
+    disc = discretize(op, 4)
+    assert disc.size == 81 and np.array_equal(disc.matrix, disc.matrix.conj().T)
+    assert np.any(disc.matrix.imag != 0)
+    for t in (0.3, 1.0):
+        quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+        E = dunford_heat(disc, t, quad)
+        assert np.linalg.norm(E - matrix_heat_reference(disc, t), 2) <= 1e-10
+        assert np.linalg.norm(E - E.conj().T, 2) <= 1e-13
 
 
 def test_dunford_rejects_undersized_contour():
