@@ -19,7 +19,7 @@ from .deform import (
     measure_scaling_check,
     rescale_symbol,
 )
-from .heatexp import heat_coefficients
+from .heatexp import _heat_coefficients, _projection_certificate
 from .report import ReportTable
 from .semigroup import (
     ContourQuadrature,
@@ -93,7 +93,7 @@ def cmd_parametrix(args):
 
 def cmd_heat_coeffs(args):
     op = _load(args.op)
-    he = heat_coefficients(op, args.J)
+    he, samples = _heat_coefficients(op, args.J)
     table = ReportTable(f"diagonal heat coefficients of {op.name}")
     for entry in he.entries:
         amps = entry.value.amplitudes
@@ -102,6 +102,9 @@ def cmd_heat_coeffs(args):
         table.add(f"q_{entry.j} (t^{entry.exponent:+.1f})",
                   symbolic=desc if desc else "0", passed=True)
     table.add("log coefficient (structural)", symbolic="0", passed=True)
+    if samples:  # variable metric: q_j were projected from a grid
+        for label, value in _projection_certificate(op, args.J, he, samples):
+            table.add(label, numeric=value, passed=True)
     if args.validate:
         # fit two orders past the comparison range so truncation bias stays
         # below the tolerances; only j <= 2 is identifiable at this window

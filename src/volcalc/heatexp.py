@@ -3,9 +3,12 @@
 The degree -2-j parametrix piece contributes q_j(x) * t^((j-d)/2) to the
 diagonal kernel k(x; 0, t): its causal kernel is evaluated at (zeta, t) =
 (0, 1) through closed-form Gaussian moments, and parabolic homogeneity
-carries the t-dependence.  Odd-j coefficients vanish structurally (each
-odd-degree piece carries an odd xi-moment), and the pipeline produces pure
-powers of t: the log slot is identically zero.
+carries the t-dependence.  For a variable metric this is one batched pass
+per piece over the whole sampling grid: the metric is read once as a stack
+of matrices, and the moments come from one batched eigvalsh and inv.  Odd-j
+coefficients vanish structurally (each odd-degree piece carries an odd
+xi-moment), and the pipeline produces pure powers of t: the log slot is
+identically zero.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import gaussian_moment
-from .symcore import CoefficientField, DomainError
+from .symcore import CoefficientField, DomainError, grid_points
 from .volterra import CausalKernel, OperatorSpec, operator_symbol, parametrix
 
 __all__ = ["HeatCoefficient", "HeatExpansion", "heat_coefficients"]
@@ -60,9 +63,19 @@ def heat_coefficients(op: OperatorSpec, max_index: int) -> HeatExpansion:
 
     Constant metric: q_j assembled exactly as trig polynomials.  Variable
     metric: the closed-form diagonal (which involves det(g)^{-1/2} and
-    inverse metric moments) is sampled on a 128-point grid per dimension and
-    projected back to a trig polynomial; the coefficients are analytic in x,
-    so the projection converges spectrally.
+    inverse metric moments) is evaluated in one batched pass over a
+    128-point grid per dimension, one diagonal_value call per graded piece,
+    and projected back to a trig polynomial; the coefficients are analytic
+    in x, so the projection converges spectrally.
+    """
+    return _heat_coefficients(op, max_index)[0]
+
+
+def _heat_coefficients(op, max_index, grid_n=_GRID_N):
+    """heat_coefficients on a grid_n-point grid per dimension.
+
+    Also returns {j: grid samples of q_j} for the q_j that were projected
+    from the grid (none for a constant metric).
     """
     if max_index > MAX_INDEX:
         raise DomainError(f"max_index limited to {MAX_INDEX}")
@@ -72,7 +85,8 @@ def heat_coefficients(op: OperatorSpec, max_index: int) -> HeatExpansion:
     res = parametrix(operator_symbol(op), max_index)
     constant_metric = op.metric.is_constant()
     g0 = op.metric.matrix_at((0.0,) * d) if constant_metric else None
-    entries = []
+    points = None if constant_metric else grid_points(grid_n, d)
+    entries, samples = [], {}
     for j in range(max_index + 1):
         piece = res.symbol.graded_piece(-2 - j)
         if piece.is_zero():
@@ -83,13 +97,29 @@ def heat_coefficients(op: OperatorSpec, max_index: int) -> HeatExpansion:
                 factor = (2.0 * np.pi) ** (-d) * gaussian_moment(kp.beta, g0)
                 qj = qj + kp.coeff.scale(factor)
         else:
-            kern = CausalKernel.from_symbol(piece)
-            axes = [2.0 * np.pi * np.arange(_GRID_N) / _GRID_N] * d
-            mesh = np.meshgrid(*axes, indexing="ij")
-            vals = np.zeros(mesh[0].shape, dtype=complex)
-            for idx in np.ndindex(mesh[0].shape):
-                x = tuple(m[idx] for m in mesh)
-                vals[idx] = kern.diagonal_value(x if d > 1 else x[0], 1.0)
-            qj = CoefficientField.from_grid(vals)
+            vals = CausalKernel.from_symbol(piece).diagonal_value(points, 1.0)
+            samples[j] = vals.reshape((grid_n,) * d)
+            qj = CoefficientField.from_grid(samples[j])
         entries.append(HeatCoefficient(j, (j - d) / 2.0, qj))
-    return HeatExpansion(d, entries, CoefficientField.zero(d), name=op.name)
+    return HeatExpansion(d, entries, CoefficientField.zero(d), name=op.name), samples
+
+
+def _projection_certificate(op, max_index, expansion, samples):
+    """Report rows (label, value) that bound the grid projection of q_j.
+
+    The tail is the largest amplitude with some |k_i| >= 3n/8 in the FFT of
+    the n-point samples, before from_grid prunes; the grid difference is the
+    largest coefficient change from the same expansion on n/2 points.
+    """
+    n = next(iter(samples.values())).shape[0]
+    far = 3 * n // 8
+    tail = 0.0
+    for vals in samples.values():
+        coef = np.fft.fftshift(np.fft.fftn(vals) / vals.size)
+        kmax = np.max(np.abs(np.indices(vals.shape) - n // 2), axis=0)
+        tail = max(tail, float(np.max(np.abs(coef[kmax >= far]))))
+    coarse = _heat_coefficients(op, max_index, n // 2)[0]
+    diff = max((a.value - b.value).norm_inf()
+               for a, b in zip(expansion.entries, coarse.entries))
+    return [(f"grid tail max|c_k| at max|k_i| >= {far} ({n} points)", tail),
+            (f"grid {n // 2} vs {n} points max coefficient difference", diff)]

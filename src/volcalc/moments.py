@@ -7,7 +7,8 @@ pairing sum is evaluated by the Stein recursion
 
     E[xi_i * xi^gamma] = sum_j Sigma_ij * gamma_j * E[xi^(gamma - e_j)]
 
-with memoization, which stays polynomial in |beta|.
+with memoization, which stays polynomial in |beta|.  Sigma may carry
+trailing axes (shape (d, d, N)); the moment is then an array over them.
 """
 
 from __future__ import annotations
@@ -49,20 +50,30 @@ def central_moment(beta, sigma) -> complex:
     return rec(beta)
 
 
-def gaussian_moment(beta, form_matrix) -> float:
-    """int xi^beta exp(-<G xi, xi>) dxi for a positive definite matrix G."""
+def gaussian_moment(beta, form_matrix):
+    """int xi^beta exp(-<G xi, xi>) dxi for a positive definite matrix G.
+
+    A stack of matrices (shape (N, d, d)) gives one moment per matrix, from
+    one batched eigvalsh and one batched inv: the Stein recursion only adds
+    and multiplies, so it runs once with each Sigma entry an array over the
+    stack.
+    """
     beta = tuple(int(b) for b in beta)
     g = np.atleast_2d(np.asarray(form_matrix, dtype=float))
-    d = g.shape[0]
-    if g.shape != (d, d) or len(beta) != d:
+    stacked = g.ndim == 3
+    d = g.shape[-1]
+    if g.ndim > 3 or g.shape[-2] != d or len(beta) != d:
         raise ValueError("shape mismatch between beta and form matrix")
-    if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
+    asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1))
+    if np.any(asym > 1e-12 * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))):
         raise ValueError("form matrix must be symmetric")
     eigs = np.linalg.eigvalsh(g)
     if eigs.min() <= 0:
         raise ValueError(f"form matrix not positive definite (min eig {eigs.min():.3e})")
     if sum(beta) % 2 == 1:
-        return 0.0
-    norm = np.pi ** (d / 2.0) / np.sqrt(np.prod(eigs))
+        return np.zeros(len(g)) if stacked else 0.0
+    norm = np.pi ** (d / 2.0) / np.sqrt(np.prod(eigs, axis=-1))
     sigma = 0.5 * np.linalg.inv(g)
-    return float(norm * central_moment(beta, sigma))
+    if not stacked:
+        return float(norm * central_moment(beta, sigma))
+    return norm * central_moment(beta, np.moveaxis(sigma, 0, -1))

@@ -7,11 +7,12 @@ contour quadrature of exp(-tQ) = (1/2*pi*i) int_Gamma e^{-t*lambda}
 approximants Q_lam = lam*Id - lam^2 (Q + lam)^{-1}, and weighted
 least-squares extraction of the small-time diagonal expansion.
 
-The contour resolvents are solved without eigenvalues: a Hermitian matrix is
-reduced once to tridiagonal form, whose shifted systems cost O(n^2) each,
-and a conjugate symmetry of the matrix (Hermitian, or the k -> -k mirror of
-a real-coefficient Galerkin matrix) turns the lower ray's resolvents into
-the upper ray's, so only one ray is solved.
+The contour resolvents are solved without eigenvalues: a diagonal matrix
+costs O(n) per node, a Hermitian one is reduced once to tridiagonal form,
+whose shifted systems cost O(n^2) each, and a conjugate symmetry of the
+matrix (Hermitian, or the k -> -k mirror of a real-coefficient Galerkin
+matrix) turns the lower ray's resolvents into the upper ray's, so only one
+ray is solved.
 
 Everything here is independent of the symbol calculus: it only consumes an
 OperatorSpec and dense linear algebra.
@@ -253,16 +254,28 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
        -k): one dense solve per upper-ray node, and R(conj lam) is R(lam)
        conjugated and reversed, so E = X - conj(X)[::-1, ::-1].
     3. Otherwise one dense solve per node on both rays.
+
+    A diagonal Q (every off-diagonal entry exactly zero, or a
+    DiscretizedOperator stored as its diagonal) costs O(n) per node: a real
+    diagonal sums one ray as in case 1, a complex one sums both.
     """
     if not t > 0:
         raise DomainError("time must be positive")
-    A = _as_matrix(Q)
     quad = quad or default_quadrature(t)
     if quad.s_max < 10.0 / t:
         raise ValueError(f"s_max={quad.s_max} too small for t={t}; need >= {10.0 / t}")
     s, w = quad.nodes(t)
     lams = quad.vertex + s * (1.0 + 1j)
     coefs = w * np.exp(-t * lams) * (1.0 + 1j)
+    diag = _exact_diagonal(Q)
+    if diag is not None:
+        if diag.size > MAX_DENSE_MODES:
+            raise MemoryError(f"dense matrix of size {diag.size} not materialized")
+        x = _diagonal_ray_sum(diag, lams, coefs)
+        if np.any(diag.imag):
+            return np.diag(x - _diagonal_ray_sum(diag, lams.conj(), coefs.conj())) / (2j * np.pi)
+        return np.diag(x - x.conj()) / (2j * np.pi)
+    A = _as_matrix(Q)
     # zgtsv needs off-diagonals, so a 1x1 matrix takes a dense solve
     if A.shape[0] > 1 and np.array_equal(A, A.conj().T):
         H, Z = hessenberg(A, calc_q=True)
@@ -274,6 +287,26 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     else:
         total = _ray_sum(A, lams, coefs) - _ray_sum(A, lams.conj(), coefs.conj())
     return total / (2j * np.pi)
+
+
+def _exact_diagonal(Q):
+    """The diagonal of Q if every off-diagonal entry is exactly zero, else None."""
+    if isinstance(Q, DiscretizedOperator) and Q.diagonal is not None:
+        return Q.diagonal
+    A = _as_matrix(Q)
+    diag = A.diagonal()
+    return diag if np.count_nonzero(A) == np.count_nonzero(diag) else None
+
+
+def _diagonal_ray_sum(diag, lams, coefs):
+    """sum_j c_j (D - lam_j)^{-1} for D = diag(diag), returned as its diagonal."""
+    x = np.zeros(diag.size, dtype=complex)
+    for lam, c in zip(lams, coefs):
+        shifted = diag - lam
+        if not np.all(shifted):
+            raise SpectrumSampleError(f"resolvent solve failed at {lam}")
+        x += c / shifted
+    return x
 
 
 def _ray_sum(A, lams, coefs):

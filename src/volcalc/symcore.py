@@ -30,6 +30,7 @@ __all__ = [
     "SingularityError",
     "lambda_power",
     "multi_indices",
+    "grid_points",
     "xi_monomial",
 ]
 
@@ -58,6 +59,12 @@ def multi_indices(dim: int, total: int):
     for head in range(total + 1):
         for rest in multi_indices(dim - 1, total - head):
             yield (head,) + rest
+
+
+def grid_points(n, dim):
+    """(n^dim, dim) array of the uniform grid x = 2*pi*j/n, last axis fastest."""
+    axes = np.meshgrid(*([2.0 * np.pi * np.arange(n) / n] * dim), indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=-1)
 
 
 def xi_monomial(xi, beta):
@@ -246,14 +253,28 @@ class CoefficientField:
         return a.reshape(-1, self.dim), False
 
     def evaluate(self, x):
-        """Evaluate at one point (complex scalar) or a batch (complex array)."""
+        """Evaluate at one point (complex scalar) or a batch (complex array).
+
+        A batch whose distinct coordinates span a tensor grid of at most as
+        many points as the batch (a full grid, for one) is summed axis by
+        axis on that grid and then read off per point, so each axis builds
+        waves only for its distinct coordinates.
+        """
         pts, single = self._points(x)
         K = self.max_freq()
         if K == 0:  # a constant: no waves to build
             c = self._box.flat[0]
             return c if single else np.full(len(pts), c)
+        freqs = np.arange(-K, K + 1)
+        if not single:
+            axes = [np.unique(c, return_inverse=True) for c in pts.T]
+            if np.prod([len(u) for u, _ in axes]) <= len(pts):
+                grid = self._box
+                for u, _ in axes:  # contract the leading frequency axis
+                    grid = np.tensordot(grid, np.exp(1j * np.outer(freqs, u)), axes=(0, 0))
+                return grid[tuple(inv for _, inv in axes)]
         # waves[a, j, p] = exp(i * (j - K) * x_a) at point p, contracted axis by axis
-        waves = np.exp(1j * (np.arange(-K, K + 1)[:, None] * pts.T[:, None, :]))
+        waves = np.exp(1j * (freqs[:, None] * pts.T[:, None, :]))
         out = self._box @ waves[-1]
         for w in waves[-2::-1]:
             out = (out * w).sum(axis=-2)
@@ -336,13 +357,19 @@ class QuadraticForm:
     def is_constant(self) -> bool:
         return all(e.max_freq() == 0 for row in self.entries for e in row)
 
+    def _stacked(self, x):
+        """Complex [g_ij(x)]: d x d at one point, (N, d, d) over a batch of N."""
+        vals = [[e.evaluate(x) for e in row] for row in self.entries]
+        return np.moveaxis(np.array(vals, dtype=complex), (0, 1), (-2, -1))
+
     def matrix_at(self, x):
-        """Real d x d matrix [g_ij(x)]."""
-        m = np.empty((self.dim, self.dim), dtype=complex)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                m[i, j] = self.entries[i][j].evaluate(x)
-        if np.max(np.abs(m.imag)) > 1e-10 * max(1.0, np.max(np.abs(m.real))):
+        """Real [g_ij(x)]: d x d at one point, (N, d, d) over a batch of N.
+
+        Raises ValueError if any point has a non-real value.
+        """
+        m = self._stacked(x)
+        imag = np.max(np.abs(m.imag), axis=(-2, -1))
+        if np.any(imag > 1e-10 * np.maximum(1.0, np.max(np.abs(m.real), axis=(-2, -1)))):
             raise ValueError("quadratic form has a non-real value")
         return m.real
 
@@ -357,13 +384,7 @@ class QuadraticForm:
         return QuadraticForm(ent, check_positive=False)
 
     def min_eig_on_grid(self, grid_n=64):
-        pts = 2.0 * np.pi * np.arange(grid_n) / grid_n
-        grids = np.meshgrid(*([pts] * self.dim), indexing="ij")
-        flat = np.stack([g.ravel() for g in grids], axis=-1)
-        mats = np.zeros((flat.shape[0], self.dim, self.dim), dtype=complex)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                mats[:, i, j] = self.entries[i][j].evaluate(flat)
+        mats = self._stacked(grid_points(grid_n, self.dim))
         return float(np.min(np.linalg.eigvalsh(0.5 * (mats + np.conj(np.swapaxes(mats, 1, 2)))).real))
 
     def __repr__(self):

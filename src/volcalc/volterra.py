@@ -392,21 +392,24 @@ class CausalKernel:
         return (2.0 * np.pi) ** (-d) * base * total
 
     def diagonal_value(self, x, t):
-        """k(x; 0, t): the xi-integral collapses to plain Gaussian moments."""
+        """k(x; 0, t): the xi-integral collapses to plain Gaussian moments.
+
+        x is one point or an (N, d) batch; t is a scalar or an array.  A batch
+        reads the metric once as a stacked (N, d, d) array and makes one
+        stacked gaussian_moment call per piece; its value has shape
+        (N,) + t.shape, so a scalar t gives one value per point.
+        """
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
         if np.any(t <= 0):
             raise DomainError("diagonal value needs t > 0")
         d = self.dim
         g = self.form.matrix_at(x)
-        out = np.zeros(t.shape, dtype=complex)
+        out = np.zeros(g.shape[:-2] + t.shape, dtype=complex)
         for p in self.pieces:
-            m0 = gaussian_moment(p.beta, g)
-            power = p.tpow - (d + sum(p.beta)) / 2.0
-            out += p.coeff.evaluate(x) * m0 * t ** power
+            weight = p.coeff.evaluate(x) * gaussian_moment(p.beta, g)
+            out += np.multiply.outer(weight, t ** (p.tpow - (d + sum(p.beta)) / 2.0))
         out *= (2.0 * np.pi) ** (-d)
-        return complex(out[0]) if scalar else out
+        return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from volcalc.specfile import (
 
 FLAT_1D = os.path.join(corpus_dir(), "flat_laplacian_1d.json")
 COSINE = os.path.join(corpus_dir(), "cosine_potential.json")
+METRIC_1D = os.path.join(corpus_dir(), "perturbed_metric.json")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +230,23 @@ def test_cli_heat_coeffs_fit_diagnostic_rows(tmp_path, capsys):
         assert rows[name]["pass"] is True
         assert rows[name]["tolerance"] is None
         assert rows[name]["numeric"] >= 0.0
+
+
+def test_cli_heat_coeffs_projection_rows(tmp_path, capsys):
+    # variable metric: two diagnostic rows bound the grid projection
+    path = tmp_path / "heat.json"
+    assert main(["heat-coeffs", "--op", METRIC_1D, "--J", "4", "--out", str(path)]) == 0
+    rows = {r["quantity"]: r for r in json.loads(path.read_text())["rows"]}
+    for name in ("grid tail max|c_k| at max|k_i| >= 48 (128 points)",
+                 "grid 64 vs 128 points max coefficient difference"):
+        assert rows[name]["pass"] is True
+        assert rows[name]["tolerance"] is None
+        assert 0.0 <= rows[name]["numeric"] <= 1e-13
+    # constant metric: q_j are exact, so no grid rows
+    path = tmp_path / "flat.json"
+    assert main(["heat-coeffs", "--op", COSINE, "--J", "4", "--out", str(path)]) == 0
+    assert not any(r["quantity"].startswith("grid")
+                   for r in json.loads(path.read_text())["rows"])
 
 
 def test_cli_semigroup_contour_node_rows(tmp_path, capsys):

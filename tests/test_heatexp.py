@@ -7,14 +7,33 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 
-from volcalc.heatexp import heat_coefficients
+from volcalc.heatexp import _heat_coefficients, heat_coefficients
 from volcalc.moments import central_moment, gaussian_moment
 from volcalc.specfile import load_corpus
-from volcalc.symcore import CoefficientField, DomainError, QuadraticForm
-from volcalc.volterra import CausalKernel, OperatorSpec, operator_symbol, parametrix
+from volcalc.symcore import CoefficientField, DomainError, QuadraticForm, grid_points
+from volcalc.volterra import (
+    CausalKernel,
+    KernelPiece,
+    OperatorSpec,
+    operator_symbol,
+    parametrix,
+)
 
 CORPUS = load_corpus()
 Q0 = (4.0 * np.pi) ** -0.5
+
+
+def _metric_2d_operator():
+    """g11 = 1 + 0.4 cos x1, g12 = 0.2 cos x2, g22 = 1, V = cos(x1 + x2)."""
+    one = CoefficientField.constant(2, 1.0)
+    g11 = one + CoefficientField.real_cosine(2, (1, 0), 0.4)
+    g12 = CoefficientField.real_cosine(2, (0, 1), 0.2)
+    zero = CoefficientField.zero(2)
+    return OperatorSpec(QuadraticForm([[g11, g12], [g12, one]]), (zero, zero),
+                        CoefficientField.real_cosine(2, (1, 1)), "perturbed_metric_2d")
+
+
+METRIC_2D = _metric_2d_operator()
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +80,25 @@ def test_moment_rejects_bad_matrix():
         gaussian_moment((0,), [[-1.0]])
     with pytest.raises(ValueError):
         gaussian_moment((0, 0), [[1.0, 0.5], [0.4, 1.0]])
+
+
+def test_stacked_moment_matches_per_matrix_calls():
+    rng = np.random.default_rng(9)
+    R = rng.standard_normal((6, 2, 2))
+    G = R @ R.transpose(0, 2, 1) + 0.5 * np.eye(2)
+    for beta in ((0, 0), (2, 0), (1, 1), (4, 2), (3, 0)):
+        got = gaussian_moment(beta, G)
+        assert got.shape == (6,)
+        expect = np.array([gaussian_moment(beta, g) for g in G])
+        assert np.max(np.abs(got - expect)) <= 1e-15 * max(1.0, np.max(np.abs(expect)))
+    asym = G.copy()
+    asym[3, 0, 1] += 0.1
+    with pytest.raises(ValueError, match="symmetric"):
+        gaussian_moment((0, 0), asym)
+    indefinite = G.copy()
+    indefinite[5] = [[1.0, 0.0], [0.0, -1.0]]
+    with pytest.raises(ValueError, match="positive definite"):
+        gaussian_moment((1, 0), indefinite)
 
 
 def test_central_moment_isserlis_pairing():
@@ -149,6 +187,49 @@ def test_diagonal_scaling_identity():
                 got = kern.diagonal_value(x, t)
                 expect = t ** ((j - 1) / 2.0) * base
                 assert abs(got - expect) <= 1e-10 * max(abs(expect), 1e-30)
+
+
+@pytest.mark.parametrize("op", [CORPUS["perturbed_metric"], METRIC_2D], ids=["1d", "2d"])
+def test_batched_diagonal_value_matches_scalar_calls(op):
+    res = parametrix(operator_symbol(op), 2)
+    kern = CausalKernel.from_symbol(res.symbol.graded_piece(-4))
+    pts = np.random.default_rng(5).uniform(0.0, 2 * np.pi, (8, op.dim))
+    single = np.array([kern.diagonal_value(p if op.dim > 1 else p[0], 1.0) for p in pts])
+    batch = kern.diagonal_value(pts, 1.0)
+    assert batch.shape == (8,)
+    assert np.max(np.abs(batch - single)) <= 1e-13 * np.max(np.abs(single))
+    ts = np.array([0.5, 2.0])
+    both = kern.diagonal_value(pts, ts)
+    assert both.shape == (8, 2)
+    for i, t in enumerate(ts):
+        column = kern.diagonal_value(pts, t)
+        assert np.max(np.abs(both[:, i] - column)) <= 1e-15 * np.max(np.abs(both))
+
+
+def test_batched_diagonal_value_keeps_form_checks():
+    piece = [KernelPiece(CoefficientField.constant(1, 1.0), (0,), 0)]
+    pts = grid_points(16, 1)
+    # 0.2 + cos x is negative near x = pi; the form is built without the floor check
+    indefinite = CoefficientField.constant(1, 0.2) + CoefficientField.real_cosine(1, (1,))
+    kern = CausalKernel(QuadraticForm([[indefinite]], check_positive=False), piece)
+    with pytest.raises(ValueError, match="positive definite"):
+        kern.diagonal_value(pts, 1.0)
+    # 1 + 0.3 e^{ix} has no mirrored amplitude, so it is not real-valued
+    nonreal = CoefficientField(1, {0: 1.0, 1: 0.3})
+    kern = CausalKernel(QuadraticForm([[nonreal]], check_positive=False), piece)
+    with pytest.raises(ValueError, match="non-real"):
+        kern.diagonal_value(pts, 1.0)
+
+
+def test_variable_metric_2d_heat_coefficients():
+    he, samples = _heat_coefficients(METRIC_2D, 2)
+    g = METRIC_2D.metric.matrix_at(grid_points(128, 2))
+    q0 = (4.0 * np.pi) ** -1 / np.sqrt(np.linalg.det(g))
+    assert np.max(np.abs(samples[0].ravel() / q0 - 1.0)) <= 1e-12
+    # projected from the grid like q_0, the closed form gives the same field
+    expect = CoefficientField.from_grid(q0.reshape(128, 128))
+    assert (he.coefficient(0) - expect).norm_inf() <= 1e-12 * expect.norm_inf()
+    assert he.coefficient(1).norm_inf() <= 1e-13
 
 
 def test_heat_coefficients_rejects_large_index():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from volcalc import semigroup
 from volcalc.semigroup import (
     ContourQuadrature,
     SpectrumSampleError,
@@ -204,6 +205,29 @@ def test_dunford_hermitian_2d_variable_potential():
         E = dunford_heat(disc, t, quad)
         assert np.linalg.norm(E - matrix_heat_reference(disc, t), 2) <= 1e-10
         assert np.linalg.norm(E - E.conj().T, 2) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["flat_laplacian_2d", "drift_shift"])
+def test_dunford_diagonal_input_makes_no_solve(name, monkeypatch):
+    # a real diagonal (flat Laplacian) sums one ray, a complex one (drift) both
+    disc = discretize(CORPUS[name], 6)
+    assert disc.diagonal is not None
+    ts = (0.3, 1.0)
+    quads = {t: ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+             for t in ts}
+    refs = {t: matrix_heat_reference(disc, t) for t in ts}
+    dense = disc.matrix.copy()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagonal input made a solve")
+
+    monkeypatch.setattr(semigroup, "zgtsv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for t in ts:
+        E = dunford_heat(disc, t, quads[t])
+        assert np.linalg.norm(E - refs[t], 2) <= 1e-10
+        # the same operator as a dense matrix with exactly zero off-diagonals
+        assert np.array_equal(dunford_heat(dense, t, quads[t]), E)
 
 
 def test_dunford_rejects_undersized_contour():

@@ -12,6 +12,7 @@ from volcalc.symcore import (
     QuadraticForm,
     SingularityError,
     SymbolTerm,
+    grid_points,
     lambda_power,
 )
 
@@ -98,6 +99,19 @@ def test_field_evaluate_matches_naive_sum():
     assert abs(f.evaluate(x0) - naive(x0)) <= 1e-13
     pts = rng.uniform(0.0, 2 * np.pi, (50, 2))
     assert np.max(np.abs(f.evaluate(pts) - np.array([naive(p) for p in pts]))) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_field_evaluate_on_tensor_grid_matches_pointwise(dim):
+    # a full grid is summed axis by axis; the result must match point by point
+    rng = np.random.default_rng(12)
+    amp = {k: complex(*rng.standard_normal(2))
+           for k in np.ndindex(*([5] * dim))}
+    f = CoefficientField(dim, {tuple(i - 2 for i in k): c for k, c in amp.items()})
+    pts = grid_points(12, dim)
+    rng.shuffle(pts)
+    expect = np.array([f.evaluate(p if dim > 1 else p[0]) for p in pts])
+    assert np.max(np.abs(f.evaluate(pts) - expect)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
