@@ -50,30 +50,42 @@ def central_moment(beta, sigma) -> complex:
     return rec(beta)
 
 
-def gaussian_moment(beta, form_matrix):
-    """int xi^beta exp(-<G xi, xi>) dxi for a positive definite matrix G.
+def _gaussian_factors(form_matrix):
+    """Check G and factorise it: (pi^(d/2) det(G)^(-1/2), Sigma = G^{-1} / 2).
 
-    A stack of matrices (shape (N, d, d)) gives one moment per matrix, from
-    one batched eigvalsh and one batched inv: the Stein recursion only adds
-    and multiplies, so it runs once with each Sigma entry an array over the
-    stack.
+    One batched eigvalsh (determinant and positivity check) and one batched
+    inv for a stack of matrices (shape (N, d, d)); the normalisation then has
+    shape (N,) and Sigma shape (d, d, N), the layout central_moment takes.
     """
-    beta = tuple(int(b) for b in beta)
     g = np.atleast_2d(np.asarray(form_matrix, dtype=float))
-    stacked = g.ndim == 3
     d = g.shape[-1]
-    if g.ndim > 3 or g.shape[-2] != d or len(beta) != d:
-        raise ValueError("shape mismatch between beta and form matrix")
+    if g.ndim > 3 or g.shape[-2] != d:
+        raise ValueError("form matrix must be square, or a stack of square matrices")
     asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1))
     if np.any(asym > 1e-12 * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))):
         raise ValueError("form matrix must be symmetric")
     eigs = np.linalg.eigvalsh(g)
     if eigs.min() <= 0:
         raise ValueError(f"form matrix not positive definite (min eig {eigs.min():.3e})")
-    if sum(beta) % 2 == 1:
-        return np.zeros(len(g)) if stacked else 0.0
     norm = np.pi ** (d / 2.0) / np.sqrt(np.prod(eigs, axis=-1))
     sigma = 0.5 * np.linalg.inv(g)
-    if not stacked:
+    return norm, (np.moveaxis(sigma, 0, -1) if g.ndim == 3 else sigma)
+
+
+def gaussian_moment(beta, form_matrix):
+    """int xi^beta exp(-<G xi, xi>) dxi for a positive definite matrix G.
+
+    A stack of matrices (shape (N, d, d)) gives one moment per matrix, from
+    one _gaussian_factors call: the Stein recursion only adds and multiplies,
+    so it runs once with each Sigma entry an array over the stack.
+    """
+    beta = tuple(int(b) for b in beta)
+    g = np.atleast_2d(np.asarray(form_matrix, dtype=float))
+    if len(beta) != g.shape[-1]:
+        raise ValueError("shape mismatch between beta and form matrix")
+    norm, sigma = _gaussian_factors(g)
+    if sum(beta) % 2 == 1:
+        return np.zeros(len(g)) if g.ndim == 3 else 0.0
+    if g.ndim == 2:
         return float(norm * central_moment(beta, sigma))
-    return norm * central_moment(beta, np.moveaxis(sigma, 0, -1))
+    return norm * central_moment(beta, sigma)

@@ -14,6 +14,15 @@ matrix (Hermitian, or the k -> -k mirror of a real-coefficient Galerkin
 matrix) turns the lower ray's resolvents into the upper ray's, so only one
 ray is solved.
 
+The heat diagonal behind the fits and the log ladder uses real arithmetic
+when the Galerkin matrix has the exact k -> -k mirror symmetry, as it has for
+every operator with real coefficients: the matrix is taken by indexing to the
+real basis {1, sqrt2 cos<k,x>, sqrt2 sin<k,x>} (k over half the lattice),
+where it is real, and real symmetric when it is Hermitian.  A matrix without
+the symmetry (an operator with non-real coefficients) keeps the complex
+eigen-decomposition.  The Galerkin matrix itself, the contour heat and the
+reference exponential stay in the exponential basis.
+
 Everything here is independent of the symbol calculus: it only consumes an
 OperatorSpec and dense linear algebra.
 """
@@ -281,12 +290,41 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
         H, Z = hessenberg(A, calc_q=True)
         X = _tridiagonal_ray_sum(H.diagonal().real, H.diagonal(-1), lams, coefs)
         total = Z @ (X - X.conj().T) @ Z.conj().T
-    elif np.array_equal(A[::-1, ::-1], A.conj()):
+    elif _mirror_symmetric(A):
         X = _ray_sum(A, lams, coefs)
         total = X - X[::-1, ::-1].conj()
     else:
         total = _ray_sum(A, lams, coefs) - _ray_sum(A, lams.conj(), coefs.conj())
     return total / (2j * np.pi)
+
+
+def _mirror_symmetric(A):
+    """A[::-1, ::-1] == conj(A) exactly: the k -> -k symmetry of real coefficients."""
+    return np.array_equal(A[::-1, ::-1], A.conj())
+
+
+def _real_form(A):
+    """U^H A U for the real basis {1, sqrt2 cos<k,x>, sqrt2 sin<k,x>}, by indexing.
+
+    A is a mirror-symmetric Galerkin matrix on the lexicographic freqs: the
+    centre index c = (size - 1) / 2 is k = 0, the indices after it are the
+    positive half of the lattice and reversal maps k to -k.  The basis is the
+    centre, then the cosines, then the sines over the positive half; under
+    the mirror symmetry every entry of U^H A U is the real or imaginary part
+    of a sum or difference of two entries of A, so the result is real by
+    construction (no dense product, no imaginary rounding to discard).
+    """
+    c = (A.shape[0] - 1) // 2
+    pos = slice(c + 1, None)
+    plus = A[pos, pos] + A[pos, :c][:, ::-1]   # A[a, b] + A[a, -b]
+    minus = A[pos, pos] - A[pos, :c][:, ::-1]  # A[a, b] - A[a, -b]
+    r2 = np.sqrt(2.0)
+    row, col = A[c, pos], A[pos, c]
+    return np.block([
+        [np.array([[A[c, c].real]]), r2 * row.real[None, :], r2 * row.imag[None, :]],
+        [r2 * col.real[:, None], plus.real, minus.imag],
+        [-r2 * col.imag[:, None], -plus.imag, minus.real],
+    ])
 
 
 def _exact_diagonal(Q):
@@ -409,7 +447,14 @@ class FitResult:
 def heat_diagonal(disc: DiscretizedOperator, times, n_x=128):
     """Physical-space diagonal of exp(-tA) at grid points, one row per time.
 
-    K(x, x) = (2*pi)^{-d} v(x)^* exp(-tM) v(x) with v(x)_k = exp(i<k,x>).
+    K(x, x) = (2*pi)^{-d} v(x)^T exp(-tM) conj(v(x)) with v(x)_k = exp(i<k,x>).
+    A Galerkin matrix with the exact k -> -k mirror symmetry (every operator
+    with real coefficients) is eigen-decomposed in its real form R = U^H M U
+    on the basis {1, sqrt2 cos<k,x>, sqrt2 sin<k,x>}, where the grid vectors
+    w(x) = U^T v(x) are real too and K(x, x) = (2*pi)^{-d} w^T exp(-tR) w.
+    A Hermitian M gives a real symmetric R, which takes a real eigh; any
+    other R takes a real eig, whose eigenvalues come in conjugate pairs.  A
+    matrix without the symmetry keeps the complex eigen-decomposition.
     """
     times = np.asarray(times, dtype=float)
     d = disc.dim
@@ -421,8 +466,14 @@ def heat_diagonal(disc: DiscretizedOperator, times, n_x=128):
         for i, t in enumerate(times):
             out[i] = np.sum(np.exp(-t * disc.diagonal)).real
         return out * (2.0 * np.pi) ** (-d), grid
-    V = np.exp(1j * grid @ disc.freqs.T)  # (n_points, size)
     A = disc.matrix
+    if _mirror_symmetric(A):
+        phase = grid @ disc.freqs[(disc.size + 1) // 2:].T  # positive half
+        V = np.hstack([np.ones((grid.shape[0], 1)),
+                       np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)])
+        A = _real_form(A)
+    else:
+        V = np.exp(1j * grid @ disc.freqs.T)  # (n_points, size)
     out = np.empty((times.size, V.shape[0]))
     if disc.is_hermitian:
         w, U = np.linalg.eigh(A)

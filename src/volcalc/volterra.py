@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .moments import central_moment, gaussian_moment
+from .moments import _gaussian_factors, central_moment
 from .symcore import (
     CoefficientField,
     DomainError,
@@ -395,18 +395,22 @@ class CausalKernel:
         """k(x; 0, t): the xi-integral collapses to plain Gaussian moments.
 
         x is one point or an (N, d) batch; t is a scalar or an array.  A batch
-        reads the metric once as a stacked (N, d, d) array and makes one
-        stacked gaussian_moment call per piece; its value has shape
-        (N,) + t.shape, so a scalar t gives one value per point.
+        reads the metric once as a stacked (N, d, d) array; its value has
+        shape (N,) + t.shape, so a scalar t gives one value per point.  The
+        metric is checked and factorised once per call, and pieces of odd
+        |beta| (zero moments) are skipped.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0):
             raise DomainError("diagonal value needs t > 0")
         d = self.dim
         g = self.form.matrix_at(x)
+        norm, sigma = _gaussian_factors(g)
         out = np.zeros(g.shape[:-2] + t.shape, dtype=complex)
         for p in self.pieces:
-            weight = p.coeff.evaluate(x) * gaussian_moment(p.beta, g)
+            if sum(p.beta) % 2 == 1:
+                continue
+            weight = p.coeff.evaluate(x) * (norm * central_moment(p.beta, sigma))
             out += np.multiply.outer(weight, t ** (p.tpow - (d + sum(p.beta)) / 2.0))
         out *= (2.0 * np.pi) ** (-d)
         return complex(out) if out.ndim == 0 else out

@@ -206,6 +206,28 @@ def test_batched_diagonal_value_matches_scalar_calls(op):
         assert np.max(np.abs(both[:, i] - column)) <= 1e-15 * np.max(np.abs(both))
 
 
+def test_diagonal_value_factorises_the_metric_once(monkeypatch):
+    kern = CausalKernel.from_symbol(parametrix(operator_symbol(METRIC_2D), 3).symbol)
+    assert any(sum(p.beta) % 2 for p in kern.pieces)
+    pts = grid_points(16, 2)
+    ts = np.array([0.5, 2.0])
+    # the per-piece route, one gaussian_moment call per piece, is the reference
+    g = METRIC_2D.metric.matrix_at(pts)
+    expect = np.zeros((len(pts), 2), dtype=complex)
+    for p in kern.pieces:
+        weight = p.coeff.evaluate(pts) * gaussian_moment(p.beta, g)
+        expect += np.multiply.outer(weight, ts ** (p.tpow - (2 + sum(p.beta)) / 2.0))
+    expect *= (2.0 * np.pi) ** -2
+    calls = []
+    for name in ("eigvalsh", "inv"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _fn=fn, _name=name: calls.append(_name) or _fn(a))
+    got = kern.diagonal_value(pts, ts)
+    assert sorted(calls) == ["eigvalsh", "inv"]
+    assert np.array_equal(got, expect)
+
+
 def test_batched_diagonal_value_keeps_form_checks():
     piece = [KernelPiece(CoefficientField.constant(1, 1.0), (0,), 0)]
     pts = grid_points(16, 1)

@@ -346,6 +346,112 @@ def test_heat_diagonal_matches_theta_series():
         assert abs(diag[i, 0] - theta) < 1e-12
 
 
+def _sine(dim, freq, amplitude=1.0):
+    """amplitude * sin(<freq, x>)."""
+    k = tuple(freq)
+    return CoefficientField(dim, {k: -0.5j * amplitude,
+                                  tuple(-f for f in k): 0.5j * amplitude})
+
+
+def _real_coefficient_op(name):
+    """Real-coefficient operators; the sine terms make the cos/sin blocks couple."""
+    cos = CoefficientField.real_cosine
+    one1, one2 = CoefficientField.constant(1, 1.0), CoefficientField.constant(2, 1.0)
+    zero1, zero2 = CoefficientField.zero(1), CoefficientField.zero(2)
+    if name == "hermitian_1d":
+        return OperatorSpec(QuadraticForm.flat(1), (zero1,),
+                            cos(1, (1,)) + _sine(1, (2,), 0.5), name)
+    if name == "drift_metric_1d":
+        return OperatorSpec(QuadraticForm([[one1 + cos(1, (1,), 0.3)]]),
+                            (_sine(1, (1,), 0.4),), cos(1, (1,)) + _sine(1, (2,), 0.5), name)
+    if name == "hermitian_2d":
+        return OperatorSpec(QuadraticForm.flat(2), (zero2, zero2),
+                            cos(2, (1, 1)) + _sine(2, (0, 1), 0.5), name)
+    g11, g12 = one2 + cos(2, (1, 0), 0.4), cos(2, (0, 1), 0.2)  # metric_2d
+    return OperatorSpec(QuadraticForm([[g11, g12], [g12, one2]]), (zero2, zero2),
+                        cos(2, (1, 1)) + _sine(2, (1, 0), 0.3), name)
+
+
+DENSE_HEAT_CASES = {  # name: (mode cutoff, grid points per axis, Hermitian)
+    "hermitian_1d": (12, 8, True),
+    "drift_metric_1d": (12, 8, False),
+    "hermitian_2d": (4, 4, True),
+    "metric_2d": (4, 4, False),
+}
+DENSE_HEAT_TIMES = np.array([0.05, 0.2])
+
+
+def _expm_diagonal(disc, times, n_x):
+    """(2 pi)^-d v(x)^T expm(-tM) conj(v(x)) on heat_diagonal's grid."""
+    d = disc.dim
+    ax = 2.0 * np.pi * np.arange(n_x) / n_x
+    grid = ax[np.indices((n_x,) * d).reshape(d, -1).T]
+    V = np.exp(1j * grid @ disc.freqs.T)
+    return np.array([np.einsum("xk,kl,xl->x", V, expm(-t * disc.matrix), V.conj())
+                     for t in times]) * (2.0 * np.pi) ** (-d)
+
+
+def _refuse_complex(eigensolver):
+    def real_only(a, *args, **kwargs):
+        if np.iscomplexobj(a):
+            raise AssertionError(f"complex {eigensolver.__name__} of size {len(a)}")
+        return eigensolver(a, *args, **kwargs)
+    return real_only
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_HEAT_CASES))
+def test_heat_diagonal_real_basis_matches_expm(name, monkeypatch):
+    n, n_x, hermitian = DENSE_HEAT_CASES[name]
+    disc = discretize(_real_coefficient_op(name), n)
+    assert disc.is_hermitian == hermitian
+    assert semigroup._mirror_symmetric(disc.matrix)
+    ref = _expm_diagonal(disc, DENSE_HEAT_TIMES, n_x)
+    # the real form is eigen-decomposed: no complex eig or eigh is made
+    monkeypatch.setattr(np.linalg, "eig", _refuse_complex(np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigh", _refuse_complex(np.linalg.eigh))
+    diag, _ = heat_diagonal(disc, DENSE_HEAT_TIMES, n_x=n_x)
+    assert np.max(np.abs(diag - ref) / np.abs(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("term", ["potential", "drift"])
+def test_heat_diagonal_non_real_coefficient_takes_complex_path(term, monkeypatch):
+    # potential 0.2 e^{ix} (no -1 mode) or the self-adjoint drift term -0.3i d/dx:
+    # either breaks the mirror symmetry, so the complex basis is kept
+    base = discretize(_real_coefficient_op("hermitian_1d"), 12)
+    k = base.freqs[:, 0]
+    if term == "potential":
+        M, hermitian, solver = base.matrix + 0.2 * (k[:, None] == k[None, :] + 1), False, "eig"
+    else:
+        M, hermitian, solver = base.matrix + np.diag(0.3 * k), True, "eigh"
+    disc = semigroup.DiscretizedOperator(base.n, 1, base.freqs, hermitian, _matrix=M)
+    assert not semigroup._mirror_symmetric(M)
+    # heat_diagonal returns the real part of a complex diagonal
+    ref = _expm_diagonal(disc, DENSE_HEAT_TIMES, 8).real
+    diag, _ = heat_diagonal(disc, DENSE_HEAT_TIMES, n_x=8)
+    assert np.max(np.abs(diag - ref) / np.abs(ref)) <= 1e-12
+    monkeypatch.setattr(np.linalg, solver, _refuse_complex(getattr(np.linalg, solver)))
+    with pytest.raises(AssertionError, match=f"complex {solver} "):
+        heat_diagonal(disc, DENSE_HEAT_TIMES, n_x=8)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_HEAT_CASES))
+def test_real_form_is_the_cos_sin_similarity(name):
+    A = discretize(_real_coefficient_op(name), DENSE_HEAT_CASES[name][0]).matrix
+    size = len(A)
+    c = (size - 1) // 2
+    half = np.arange(c + 1, size)
+    mirror = size - 1 - half  # reversal maps k to -k
+    U = np.zeros((size, size), dtype=complex)
+    U[c, 0] = 1.0
+    cols = np.arange(half.size)
+    U[half, 1 + cols] = U[mirror, 1 + cols] = 2.0 ** -0.5
+    U[half, 1 + half.size + cols] = -1j * 2.0 ** -0.5
+    U[mirror, 1 + half.size + cols] = 1j * 2.0 ** -0.5
+    R = semigroup._real_form(A)
+    assert R.dtype == np.float64
+    assert np.max(np.abs(R - U.conj().T @ A @ U)) <= 1e-14 * np.max(np.abs(A))
+
+
 def test_corpus_spectral_positivity():
     # all corpus operators are nonnegative except the Mathieu-type potential,
     # whose ground state genuinely dips below zero
