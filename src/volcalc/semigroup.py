@@ -7,12 +7,15 @@ contour quadrature of exp(-tQ) = (1/2*pi*i) int_Gamma e^{-t*lambda}
 approximants Q_lam = lam*Id - lam^2 (Q + lam)^{-1}, and weighted
 least-squares extraction of the small-time diagonal expansion.
 
-The contour resolvents are solved without eigenvalues: a diagonal matrix
-costs O(n) per node, a Hermitian one is reduced once to tridiagonal form,
-whose shifted systems cost O(n^2) each, and a conjugate symmetry of the
-matrix (Hermitian, or the k -> -k mirror of a real-coefficient Galerkin
-matrix) turns the lower ray's resolvents into the upper ray's, so only one
-ray is solved.
+The contour resolvents are solved without eigenvalues.  The exact band
+(kl, ku) of the matrix is read once from its nonzero entries: band (0, 0),
+a diagonal, costs O(n) per node; a Hermitian matrix is reduced once to
+tridiagonal form, whose shifted systems cost O(n^2) each; any other matrix
+takes one banded LU solve (LAPACK zgbsv) per node, which is narrow for every
+Galerkin matrix of trigonometric coefficients in the lexicographic freqs
+order.  A conjugate symmetry of the matrix (Hermitian, or the k -> -k mirror
+of a real-coefficient Galerkin matrix) turns the lower ray's resolvents into
+the upper ray's, so only one ray is solved.
 
 The heat diagonal behind the fits and the log ladder uses real arithmetic
 when the Galerkin matrix has the exact k -> -k mirror symmetry, as it has for
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm, hessenberg
-from scipy.linalg.lapack import zgtsv
+from scipy.linalg.lapack import zgbsv, zgtsv
 
 from .symcore import DomainError
 from .volterra import OperatorSpec
@@ -64,6 +67,9 @@ class SpectrumSampleError(ValueError):
 
 # Largest Galerkin basis that is stored as a dense matrix.
 MAX_DENSE_MODES = 6000
+
+# Rows per block of discretize's Hermitian test and symmetrisation.
+_ROW_BLOCK = 64
 
 
 @dataclass
@@ -169,11 +175,18 @@ def discretize(op: OperatorSpec, n: int) -> DiscretizedOperator:
             cols = np.flatnonzero(np.all(np.abs(rows) <= n, axis=1))
             M[np.ravel_multi_index((rows[cols] + n).T, shape), cols] += c * weight[cols]
 
-    herm_defect = np.max(np.abs(M - M.conj().T))
-    scale = max(1.0, np.max(np.abs(M)))
+    # the Hermitian test and the symmetrisation go block by block, so no
+    # temporary is as large as M; the arithmetic is element-wise either way
+    blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, size, _ROW_BLOCK)]
+    herm_defect = max(np.max(np.abs(M[I] - M[:, I].conj().T)) for I in blocks)
+    scale = max(1.0, max(np.max(np.abs(M[I])) for I in blocks))
     is_herm = herm_defect <= 1e-12 * scale
     if is_herm:
-        M = 0.5 * (M + M.conj().T)
+        for a, I in enumerate(blocks):
+            for J in blocks[a:]:
+                upper = 0.5 * (M[I, J] + M[J, I].conj().T)
+                M[J, I] = 0.5 * (M[J, I] + M[I, J].conj().T)
+                M[I, J] = upper
     return DiscretizedOperator(n, d, freqs, is_herm, _matrix=M, name=op.name)
 
 
@@ -251,22 +264,27 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     encloses the right-half-plane spectrum with the sign that reproduces
     scalar exponentials.  The lower ray's nodes and weights are the
     conjugates of the upper ray's, so with X = sum_j c_j R(lam_j) over the
-    upper ray, R(lam) = (Q - lam)^{-1}, three cases are told apart by exact
+    upper ray, R(lam) = (Q - lam)^{-1}, the cases are told apart by the exact
+    band (kl, ku) of Q, read once from its nonzero entries, and by exact
     comparisons:
 
-    1. Q Hermitian (size > 1): Q = Z T Z^H with T tridiagonal (Hessenberg
-       reduction, kept exactly Hermitian), one O(n^2) tridiagonal solve of
-       (T - lam) Y = I per upper-ray node, and R(conj lam) = R(lam)^H gives
-       E = Z (X - X^H) Z^H.
+    0. Band (0, 0), or a DiscretizedOperator stored as its diagonal: O(n)
+       per node; a real diagonal sums one ray as in case 1, a complex one
+       sums both.  A 1x1 matrix always lands here.
+    1. Q Hermitian: Q = Z T Z^H with T tridiagonal (Hessenberg reduction,
+       kept exactly Hermitian), one O(n^2) tridiagonal solve of
+       (T - lam) Y = c I per upper-ray node, and R(conj lam) = R(lam)^H
+       gives E = Z (X - X^H) Z^H.
     2. Q[::-1, ::-1] == conj(Q), as for every Galerkin matrix of an operator
        with real coefficients (reversing the lexicographic freqs maps k to
-       -k): one dense solve per upper-ray node, and R(conj lam) is R(lam)
-       conjugated and reversed, so E = X - conj(X)[::-1, ::-1].
-    3. Otherwise one dense solve per node on both rays.
+       -k): one banded LU solve (LAPACK zgbsv) per upper-ray node, and
+       R(conj lam) is R(lam) conjugated and reversed, so
+       E = X - conj(X)[::-1, ::-1].
+    3. Otherwise one banded LU solve per node on both rays.
 
-    A diagonal Q (every off-diagonal entry exactly zero, or a
-    DiscretizedOperator stored as its diagonal) costs O(n) per node: a real
-    diagonal sums one ray as in case 1, a complex one sums both.
+    The band of a Galerkin matrix of a trigonometric-coefficient operator is
+    narrow (half-width 2 for frequency-two coefficients in 1-D, 10 in 2-D at
+    81 modes); a full matrix is simply the full band.
     """
     if not t > 0:
         raise DomainError("time must be positive")
@@ -276,26 +294,35 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     s, w = quad.nodes(t)
     lams = quad.vertex + s * (1.0 + 1j)
     coefs = w * np.exp(-t * lams) * (1.0 + 1j)
-    diag = _exact_diagonal(Q)
-    if diag is not None:
-        if diag.size > MAX_DENSE_MODES:
-            raise MemoryError(f"dense matrix of size {diag.size} not materialized")
-        x = _diagonal_ray_sum(diag, lams, coefs)
-        if np.any(diag.imag):
-            return np.diag(x - _diagonal_ray_sum(diag, lams.conj(), coefs.conj())) / (2j * np.pi)
-        return np.diag(x - x.conj()) / (2j * np.pi)
+    if isinstance(Q, DiscretizedOperator) and Q.diagonal is not None:
+        return _diagonal_heat(Q.diagonal, lams, coefs)
     A = _as_matrix(Q)
-    # zgtsv needs off-diagonals, so a 1x1 matrix takes a dense solve
-    if A.shape[0] > 1 and np.array_equal(A, A.conj().T):
+    kl, ku = _bandwidth(A)
+    if kl == ku == 0:
+        return _diagonal_heat(A.diagonal(), lams, coefs)
+    # band (0, 0) took every 1x1 matrix, so T has the off-diagonals zgtsv needs
+    if np.array_equal(A, A.conj().T):
         H, Z = hessenberg(A, calc_q=True)
         X = _tridiagonal_ray_sum(H.diagonal().real, H.diagonal(-1), lams, coefs)
         total = Z @ (X - X.conj().T) @ Z.conj().T
-    elif _mirror_symmetric(A):
-        X = _ray_sum(A, lams, coefs)
-        total = X - X[::-1, ::-1].conj()
     else:
-        total = _ray_sum(A, lams, coefs) - _ray_sum(A, lams.conj(), coefs.conj())
+        band = _band_storage(A, kl, ku)
+        X = _ray_sum(band, kl, ku, lams, coefs)
+        if _mirror_symmetric(A):
+            total = X - X[::-1, ::-1].conj()
+        else:
+            total = X - _ray_sum(band, kl, ku, lams.conj(), coefs.conj())
     return total / (2j * np.pi)
+
+
+def _diagonal_heat(diag, lams, coefs):
+    """The contour sum for D = diag(diag): O(n) per node, one ray if D is real."""
+    if diag.size > MAX_DENSE_MODES:
+        raise MemoryError(f"dense matrix of size {diag.size} not materialized")
+    x = _diagonal_ray_sum(diag, lams, coefs)
+    if np.any(diag.imag):
+        return np.diag(x - _diagonal_ray_sum(diag, lams.conj(), coefs.conj())) / (2j * np.pi)
+    return np.diag(x - x.conj()) / (2j * np.pi)
 
 
 def _mirror_symmetric(A):
@@ -327,13 +354,29 @@ def _real_form(A):
     ])
 
 
-def _exact_diagonal(Q):
-    """The diagonal of Q if every off-diagonal entry is exactly zero, else None."""
-    if isinstance(Q, DiscretizedOperator) and Q.diagonal is not None:
-        return Q.diagonal
-    A = _as_matrix(Q)
-    diag = A.diagonal()
-    return diag if np.count_nonzero(A) == np.count_nonzero(diag) else None
+def _bandwidth(A):
+    """(kl, ku): the lower and upper half-bandwidths of A's nonzero entries."""
+    rows, cols = np.nonzero(A)
+    return int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
+
+
+def _band_storage(A, kl, ku):
+    """A in LAPACK band storage for zgbsv: A[i, j] at row kl + ku + i - j, column j.
+
+    The first kl rows are left for the fill-in of the LU factors.
+    """
+    n = A.shape[0]
+    band = np.zeros((2 * kl + ku + 1, n), dtype=complex, order="F")
+    for k in range(-kl, ku + 1):  # the k-th superdiagonal, A[i, i + k]
+        band[kl + ku - k, max(k, 0):n + min(k, 0)] = A.diagonal(k)
+    return band
+
+
+def _scaled_identity(n, c):
+    """c I in Fortran order, which zgbsv and zgtsv overwrite with the solution in place."""
+    B = np.zeros((n, n), dtype=complex, order="F")
+    B.flat[::n + 1] = c
+    return B
 
 
 def _diagonal_ray_sum(diag, lams, coefs):
@@ -347,28 +390,37 @@ def _diagonal_ray_sum(diag, lams, coefs):
     return x
 
 
-def _ray_sum(A, lams, coefs):
-    """sum_j c_j (A - lam_j)^{-1}, one dense solve per node."""
-    eye = np.eye(A.shape[0], dtype=complex)
-    X = np.zeros_like(eye)
+def _ray_sum(band, kl, ku, lams, coefs):
+    """sum_j c_j (A - lam_j)^{-1}, one banded LU solve of (A - lam_j) Y = c_j I per node.
+
+    band is A in the storage of _band_storage; only its main-diagonal row
+    changes from node to node, and zgbsv factors a copy of it.
+    """
+    n = band.shape[1]
+    band = band.copy(order="F")
+    main = band[kl + ku].copy()
+    X = np.zeros((n, n), dtype=complex, order="F")
     for lam, c in zip(lams, coefs):
-        try:
-            X += c * np.linalg.solve(A - lam * eye, eye)
-        except np.linalg.LinAlgError as exc:  # cannot happen on Gamma for PSD input
-            raise SpectrumSampleError(f"resolvent solve failed at {lam}") from exc
+        band[kl + ku] = main - lam
+        *_, Y, info = zgbsv(kl, ku, band, _scaled_identity(n, c), overwrite_b=1)
+        if info > 0:  # an exactly zero pivot: lam is an eigenvalue
+            raise SpectrumSampleError(f"resolvent solve failed at {lam}")
+        if info < 0:
+            raise ValueError(f"zgbsv rejected argument {-info}")
+        X += Y
     return X
 
 
 def _tridiagonal_ray_sum(diag, sub, lams, coefs):
     """sum_j c_j (T - lam_j)^{-1} for T = tridiag(sub, diag, conj(sub))."""
-    eye = np.eye(diag.size, dtype=complex)
-    X = np.zeros_like(eye)
+    n = diag.size
+    X = np.zeros((n, n), dtype=complex, order="F")
     sup = sub.conj()
     for lam, c in zip(lams, coefs):
-        *_, Y, info = zgtsv(sub, diag - lam, sup, eye)
+        *_, Y, info = zgtsv(sub, diag - lam, sup, _scaled_identity(n, c), overwrite_b=1)
         if info > 0:
             raise SpectrumSampleError(f"resolvent solve failed at {lam}")
-        X += c * Y
+        X += Y
     return X
 
 

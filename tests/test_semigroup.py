@@ -1,5 +1,7 @@
 """Spectral discretization, contour heat family, approximants, diagonal fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -115,6 +117,37 @@ def test_min_sym_eig_computed_lazily_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _trig_2d(terms, constant=0.0):
+    """constant + sum a cos<k,x> + b sin<k,x> over terms = [(k, a, b)]."""
+    amps = {(0, 0): constant} if constant else {}
+    for k, a, b in terms:
+        amps[k] = (a - 1j * b) / 2
+        amps[tuple(-f for f in k)] = (a + 1j * b) / 2
+    return CoefficientField(2, amps)
+
+
+def test_discretize_peak_memory_near_one_matrix():
+    # a divergence-form 2-D operator, -div(g grad) + V with g11 = 1 + 0.3 cos x1:
+    # its 961-mode matrix is Hermitian only up to rounding before it is
+    # symmetrised, over several row blocks
+    g11 = CoefficientField(2, {(0, 0): 1.0, (1, 0): 0.15, (-1, 0): 0.15})
+    g12, g22 = CoefficientField.constant(2, 0.1), CoefficientField.constant(2, 1.1)
+    drift = (CoefficientField(2, {(1, 0): -0.15j, (-1, 0): 0.15j}), CoefficientField.zero(2))
+    potential = _trig_2d([((1, 1), 0.4, 0.2), ((0, 1), 0.6, 0.0)], constant=1.3)
+    op = OperatorSpec(QuadraticForm([[g11, g12], [g12, g22]]), drift, potential,
+                      "divergence_form_2d")
+    tracemalloc.start()
+    try:
+        disc = discretize(op, 15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    M = disc.matrix
+    assert disc.size == 961 and disc.is_hermitian
+    assert np.array_equal(M, M.conj().T)
+    assert peak <= 1.25 * M.nbytes
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_discretize_mirror_symmetry(name):
     # real coefficients: reversing the lexicographic freqs maps k to -k and
@@ -222,12 +255,93 @@ def test_dunford_diagonal_input_makes_no_solve(name, monkeypatch):
         raise AssertionError("a diagonal input made a solve")
 
     monkeypatch.setattr(semigroup, "zgtsv", refuse)
+    monkeypatch.setattr(semigroup, "zgbsv", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for t in ts:
         E = dunford_heat(disc, t, quads[t])
         assert np.linalg.norm(E - refs[t], 2) <= 1e-10
         # the same operator as a dense matrix with exactly zero off-diagonals
         assert np.array_equal(dunford_heat(dense, t, quads[t]), E)
+
+
+def _metric_1d():
+    """A variable metric outside divergence form, with drift: not Hermitian."""
+    F = CoefficientField
+    g = F(1, {(0,): 1.0, (1,): 0.125 - 0.0625j, (-1,): 0.125 + 0.0625j,
+              (2,): -0.0625j, (-2,): 0.0625j})
+    drift = F(1, {(1,): 0.1875 + 0.125j, (-1,): 0.1875 - 0.125j})
+    potential = F(1, {(0,): 0.75, (1,): -0.25, (-1,): -0.25, (2,): 0.125j, (-2,): -0.125j})
+    return OperatorSpec(QuadraticForm([[g]]), (drift,), potential, "metric_1d")
+
+
+def _drift_2d():
+    """const2d-like: constant metric, trig drift and potential, not Hermitian."""
+    g = [[CoefficientField.constant(2, 1.125), CoefficientField.constant(2, -0.1875)],
+         [CoefficientField.constant(2, -0.1875), CoefficientField.constant(2, 1.0625)]]
+    drift = (_trig_2d([((1, 0), 0.25, -0.1875)]), _trig_2d([((0, 1), -0.125, 0.3125)]))
+    potential = _trig_2d([((1, 0), 0.375, -0.25), ((0, 1), 0.125, 0.5),
+                          ((1, 1), -0.3125, 0.1875)])
+    return OperatorSpec(QuadraticForm(g), drift, potential, "drift_2d")
+
+
+@pytest.mark.parametrize("make, n", [(_metric_1d, 16), (_drift_2d, 4)],
+                         ids=["metric_1d", "drift_2d"])
+def test_dunford_non_hermitian_galerkin_takes_band_route(make, n, monkeypatch):
+    # every non-diagonal corpus matrix is Hermitian, so both operators are built here
+    disc = discretize(make(), n)
+    assert not disc.is_hermitian
+    ts = (0.3, 1.0)
+    quads = {t: ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+             for t in ts}
+    refs = {t: matrix_heat_reference(disc, t) for t in ts}
+    bands = []
+    zgbsv = semigroup.zgbsv
+
+    def recording(kl, ku, *args, **kwargs):
+        bands.append((kl, ku))
+        return zgbsv(kl, ku, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a non-Hermitian input left the band route")
+
+    monkeypatch.setattr(semigroup, "zgbsv", recording)
+    monkeypatch.setattr(semigroup, "zgtsv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for t in ts:
+        bands.clear()
+        E = dunford_heat(disc, t, quads[t])
+        assert np.linalg.norm(E - refs[t], 2) <= 1e-10, t
+        # mirror-symmetric (real coefficients): one banded solve per upper-ray node
+        assert len(bands) == len(quads[t].nodes(t)[0])
+        assert set(bands) == {(2, 2) if disc.dim == 1 else (10, 10)}
+
+
+@pytest.mark.parametrize("corner", [(7, 0), (0, 7)])
+def test_dunford_band_reaches_the_corner(corner):
+    # a random band (kl, ku) = (2, 1), neither Hermitian nor mirror-symmetric,
+    # widened to the full lower or upper triangle by a single corner entry
+    rng = np.random.default_rng(11)
+    n = 8
+    Q = np.diag(np.linspace(0.5, 6.0, n)).astype(complex)
+    for k in (-2, -1, 1):
+        Q += 0.3 * np.diag(rng.standard_normal(n - abs(k))
+                           + 1j * rng.standard_normal(n - abs(k)), k)
+    Q[corner] = 0.4 - 0.25j
+    assert semigroup._bandwidth(Q) == ((7, 1) if corner == (7, 0) else (2, 7))
+    assert not np.array_equal(Q[::-1, ::-1], Q.conj())
+    for t in (0.3, 1.0):
+        quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+        assert np.linalg.norm(dunford_heat(Q, t, quad) - expm(-t * Q), 2) <= 1e-10
+
+
+def test_dunford_node_on_the_spectrum_raises():
+    t = 0.5
+    quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+    s, _ = quad.nodes(t)
+    lam = (quad.vertex + s * (1.0 + 1j))[7]  # an upper-ray node, formed as dunford_heat does
+    Q = np.array([[lam, 1.0], [0.0, 2.0]])
+    with pytest.raises(SpectrumSampleError):
+        dunford_heat(Q, t, quad)
 
 
 def test_dunford_rejects_undersized_contour():
