@@ -22,17 +22,17 @@ from .deform import (
 from .heatexp import _heat_coefficients, _projection_certificate
 from .report import ReportTable
 from .semigroup import (
-    ContourQuadrature,
+    CONTOUR_VERTEX,
+    default_quadrature,
     discretize,
     dunford_heat,
-    fit_diagonal_expansion,
     hy_heat,
     matrix_heat_reference,
     resolvent_bound_check,
 )
 from .specfile import SpecFileError, load_operator_spec
 from .symcore import DomainError, NotPositiveDefiniteError
-from .validate import CRITERIA, add_fit_diagnostics, run_acceptance
+from .validate import CRITERIA, add_fit_diagnostics, run_acceptance, window_fit
 from .volterra import (
     CausalKernel,
     CausalityGrid,
@@ -106,10 +106,8 @@ def cmd_heat_coeffs(args):
         for label, value in _projection_certificate(op, args.J, he, samples):
             table.add(label, numeric=value, passed=True)
     if args.validate:
-        # fit two orders past the comparison range so truncation bias stays
-        # below the tolerances; only j <= 2 is identifiable at this window
-        times = np.geomspace(0.02, 0.3, 28)
-        fit = fit_diagonal_expansion(op, times, 6, n_x=32)
+        # only j <= 2 is identifiable at the fit window
+        fit = window_fit(op)
         xs = fit.x_grid
         for entry in he.entries:
             if entry.j > 2:
@@ -128,29 +126,27 @@ def cmd_heat_coeffs(args):
 def cmd_semigroup(args):
     op = _load(args.op)
     ts = args.t
-    if min(ts) <= 0:
-        raise DomainError("--t needs positive times")
+    if not all(0 < t < np.inf for t in ts):
+        raise DomainError("--t needs positive finite times")
     disc = discretize(op, args.modes)
     table = ReportTable(f"semigroup checks for {op.name} (n={args.modes})")
-    quad = lambda t: ContourQuadrature(nodes_per_ray=420,
-                                       s_max=max(40.0, 40.0 / t), refine=2)
     if args.check in ("semigroup", "contraction", "reference"):
         for t in ts:
-            table.add(f"contour nodes per ray t={t}", numeric=len(quad(t).nodes(t)[0]),
-                      passed=True)
+            table.add(f"contour nodes per ray t={t}",
+                      numeric=len(default_quadrature(t).nodes(t)[0]), passed=True)
     if args.check == "semigroup":
         if len(ts) != 3 or abs(ts[0] + ts[1] - ts[2]) > 1e-12:
             print("error: --check semigroup needs t1 t2 t3 with t1 + t2 = t3",
                   file=sys.stderr)
             return EXIT_INPUT_ERROR
-        E = {t: dunford_heat(disc, t, quad(t)) for t in ts}
+        E = {t: dunford_heat(disc, t) for t in ts}
         err = float(np.linalg.norm(E[ts[0]] @ E[ts[1]] - E[ts[2]], 2))
         table.add(f"||E({ts[0]})E({ts[1]}) - E({ts[2]})||_2", numeric=err,
                   error=err, tolerance=1e-8)
     elif args.check == "contraction":
         disc.require_nonnegative()
         for t in ts:
-            nrm = float(np.linalg.norm(dunford_heat(disc, t, quad(t)), 2))
+            nrm = float(np.linalg.norm(dunford_heat(disc, t), 2))
             table.add(f"||E({t})||_2", numeric=nrm, error=nrm - 1.0,
                       tolerance=1e-10)
     elif args.check == "hy":
@@ -164,13 +160,13 @@ def cmd_semigroup(args):
                   error=errs[-1], tolerance=1e-3)
     elif args.check == "resolvent":
         s = np.linspace(0.3, 30.0, 25)
-        samples = np.concatenate([-1 + s * (1 + 1j), -1 + s * (1 - 1j)])
+        samples = CONTOUR_VERTEX + np.concatenate([s * (1 + 1j), s * (1 - 1j)])
         c = resolvent_bound_check(disc, samples)
         table.add("max ||(Q - lam)^-1|| (1 + |Im lam|) on the contour",
                   numeric=c, passed=np.isfinite(c))
     else:
         for t in ts:
-            E = dunford_heat(disc, t, quad(t))
+            E = dunford_heat(disc, t)
             err = float(np.linalg.norm(E - matrix_heat_reference(disc, t), 2))
             table.add(f"dunford vs reference, t={t}", numeric=err, error=err,
                       tolerance=1e-8)
@@ -179,7 +175,7 @@ def cmd_semigroup(args):
 
 def cmd_causality(args):
     op = _load(args.op)
-    res = parametrix(operator_symbol(op), args.depth)
+    grid = CausalityGrid()
     if args.grid:
         try:
             n_tau, tau_max = args.grid.split(",")
@@ -188,8 +184,7 @@ def cmd_causality(args):
             print(f"error: bad --grid {args.grid!r}; expected NTAU,TAUMAX",
                   file=sys.stderr)
             return EXIT_INPUT_ERROR
-    else:
-        grid = CausalityGrid(n_tau=16384, tau_max=200.0)
+    res = parametrix(operator_symbol(op), args.depth)
     table = ReportTable(f"causality of the {op.name} parametrix, depth {args.depth}")
     for s in res.symbol.degrees():
         ratio = causality_check(res.symbol.graded_piece(s), grid=grid)

@@ -107,8 +107,8 @@ def homogeneity_defect(family: ScaledFamily, lam, x, zeta_grid, t_grid,
     Returns (field, sup_norm) on the sample grid.
     """
     lam = float(lam)
-    if lam <= 0:
-        raise DomainError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise DomainError("lam must be positive and finite")
     base = family.base
     if not isinstance(base, CausalKernel):
         raise TypeError("homogeneity_defect operates on kernel families")
@@ -131,7 +131,7 @@ def homogeneity_defect(family: ScaledFamily, lam, x, zeta_grid, t_grid,
 def measure_scaling_check(lam, dim) -> float:
     """Jacobian determinant of delta_lam on R^d x R; equals lam^(d+2) exactly."""
     lam = float(lam)
-    if lam <= 0:
-        raise DomainError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise DomainError("lam must be positive and finite")
     jac = np.diag([lam] * int(dim) + [lam**2])
     return float(np.prod(np.diag(jac)))

@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import io
+import json
 from dataclasses import dataclass
 
 __all__ = ["ReportRow", "ReportTable", "fmt_float"]
@@ -89,10 +90,7 @@ class ReportTable:
             return "true" if value else "false"
         if isinstance(value, (int, float)):
             return fmt_float(value)
-        # plain string escape via repr-free manual quoting
-        s = str(value)
-        s = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{s}"'
+        return json.dumps(str(value), ensure_ascii=False)
 
     def to_json(self) -> str:
         buf = io.StringIO()

@@ -71,6 +71,12 @@ MAX_DENSE_MODES = 6000
 # Rows per block of discretize's Hermitian test and symmetrisation.
 _ROW_BLOCK = 64
 
+_NONNEGATIVE_TOL = 1e-8  # least min_sym_eig that counts as nonnegative
+CONTOUR_VERTEX = -1.0  # the wedge contour is CONTOUR_VERTEX + s(1 +/- i)
+_LADDER_T0 = 0.15
+_LADDER_EXTRA = 6
+_LADDER_RESOLVE = 36.0
+
 
 @dataclass
 class DiscretizedOperator:
@@ -125,14 +131,14 @@ class DiscretizedOperator:
             self._matrix = np.diag(self.diagonal).astype(complex)
         return self._matrix
 
-    def is_nonnegative(self, tol=1e-8) -> bool:
-        return self.min_sym_eig >= -tol
+    def is_nonnegative(self) -> bool:
+        return self.min_sym_eig >= -_NONNEGATIVE_TOL
 
-    def require_nonnegative(self, tol=1e-8):
-        if not self.is_nonnegative(tol):
+    def require_nonnegative(self):
+        if not self.is_nonnegative():
             raise ValueError(
                 f"{self.name}: Hermitian part has eigenvalue {self.min_sym_eig:.3e} "
-                f"< -{tol:.0e}; semigroup bounds need a nonnegative operator")
+                f"< -{_NONNEGATIVE_TOL:.0e}; semigroup bounds need a nonnegative operator")
 
 
 def discretize(op: OperatorSpec, n: int) -> DiscretizedOperator:
@@ -201,16 +207,16 @@ class ContourQuadrature:
 
     Both rays -1 + s(1 +/- i) share the node count.  Panels refine
     geometrically in s (resolvent scale) and uniformly in u = t*s
-    (oscillation and decay scale), so accuracy is uniform over spectra in
-    [0, 1e3] and t in [5e-3, 10] at the default 200 nodes per ray.  For
-    spectra with sizable imaginary parts the resolvent feature sits closer
-    to the contour; refine > 1 subdivides each panel accordingly.
+    (oscillation and decay scale).  For spectra with sizable imaginary parts
+    (drift) the resolvent feature sits closer to the contour; refine > 1
+    subdivides each panel accordingly.  At the default 420 nodes per ray
+    with refine 2, and s_max from default_quadrature, accuracy is uniform
+    over spectra in [0, 1e3] and t in [5e-3, 10].
     """
 
-    nodes_per_ray: int = 200
+    nodes_per_ray: int = 420
     s_max: float = 40.0
-    vertex: float = -1.0
-    refine: int = 1
+    refine: int = 2
 
     def panel_edges(self, t):
         ucut = min(t * self.s_max, t + 45.0)
@@ -225,8 +231,6 @@ class ContourQuadrature:
             edges.add(u / t)
             u += 4.0
         base = sorted(edges)
-        if self.refine <= 1:
-            return np.array(base)
         out = []
         for a, b in zip(base[:-1], base[1:]):
             for i in range(self.refine):
@@ -248,7 +252,8 @@ class ContourQuadrature:
 
 
 def default_quadrature(t) -> ContourQuadrature:
-    return ContourQuadrature(nodes_per_ray=200, s_max=max(40.0, 40.0 / float(t)))
+    """The contour every caller uses: the default nodes, s_max = max(40, 40/t)."""
+    return ContourQuadrature(s_max=max(40.0, 40.0 / float(t)))
 
 
 def _as_matrix(Q):
@@ -286,13 +291,13 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     narrow (half-width 2 for frequency-two coefficients in 1-D, 10 in 2-D at
     81 modes); a full matrix is simply the full band.
     """
-    if not t > 0:
-        raise DomainError("time must be positive")
+    if not 0 < t < np.inf:
+        raise DomainError("time must be positive and finite")
     quad = quad or default_quadrature(t)
     if quad.s_max < 10.0 / t:
         raise ValueError(f"s_max={quad.s_max} too small for t={t}; need >= {10.0 / t}")
     s, w = quad.nodes(t)
-    lams = quad.vertex + s * (1.0 + 1j)
+    lams = CONTOUR_VERTEX + s * (1.0 + 1j)
     coefs = w * np.exp(-t * lams) * (1.0 + 1j)
     if isinstance(Q, DiscretizedOperator) and Q.diagonal is not None:
         return _diagonal_heat(Q.diagonal, lams, coefs)
@@ -548,30 +553,30 @@ def resolution_cutoff(op: OperatorSpec, t_min, resolve=18.0) -> int:
     eigenvalue enters the rule; with the bare t*n^2 >= 10 a variable metric
     leaves a boundary-layer error near t_min that pollutes the fits.
     """
-    gmin = op.metric.min_eig_on_grid(64)
+    gmin = op.metric.min_eig_on_grid()
     return int(np.ceil(np.sqrt(resolve / (float(t_min) * gmin))))
 
 
-def log_coefficient_estimate(op: OperatorSpec, max_index: int, t0=0.15,
-                             extra=6, n_x=128, resolve=36.0, _inject=0.0):
+def log_coefficient_estimate(op: OperatorSpec, max_index: int, n_x=128, _inject=0.0):
     """Coefficient of t^((J-d)/2) log t in the diagonal, per grid point.
 
     Estimated by a dyadic scale-comparison ladder: the diagonal profile
     f(t) = t^(d/2) diag(x, t) is sampled at t0 * 2^-k and the iterated
     differences seq <- seq[1:] - 2^(-s) seq[:-1] annihilate every power
-    t^s through s = (J + extra - 1)/2.  The stage s = J/2 converts a log
-    term into a surviving pure power, so the ladder output divided by the
-    ladder applied to t^(J/2) log t recovers the log coefficient with unit
-    sensitivity.  A least-squares reading of an attached log column is not
-    identifiable here: on a fixed positive window t^s log t is analytic and
-    the column is near-collinear with powers (leakage amplification 50-300x
-    was measured), while the ladder is exactly calibrated.
+    t^s through s = (J + extra - 1)/2, with t0 = _LADDER_T0 and extra =
+    _LADDER_EXTRA.  The stage s = J/2 converts a log term into a surviving
+    pure power, so the ladder output divided by the ladder applied to
+    t^(J/2) log t recovers the log coefficient with unit sensitivity.  A
+    least-squares reading of an attached log column is not identifiable
+    here: on a fixed positive window t^s log t is analytic and the column is
+    near-collinear with powers (leakage amplification 50-300x was measured),
+    while the ladder is exactly calibrated.
     """
     d = op.dim
     J = int(max_index)
-    stages = [j / 2.0 for j in range(J + extra)]
-    times = t0 * 2.0 ** (-np.arange(len(stages) + 1.0))
-    disc = discretize(op, resolution_cutoff(op, times.min(), resolve))
+    stages = [j / 2.0 for j in range(J + _LADDER_EXTRA)]
+    times = _LADDER_T0 * 2.0 ** (-np.arange(len(stages) + 1.0))
+    disc = discretize(op, resolution_cutoff(op, times.min(), _LADDER_RESOLVE))
     diag, grid = heat_diagonal(disc, times, n_x=n_x)
     if _inject:
         diag = diag + _inject * (times ** ((J - d) / 2.0) * np.log(times))[:, None]
@@ -587,15 +592,14 @@ def log_coefficient_estimate(op: OperatorSpec, max_index: int, t0=0.15,
 
 
 def fit_diagonal_expansion(op: OperatorSpec, times, max_index: int,
-                           with_log=False, n=None, n_x=128) -> FitResult:
+                           n=None, n_x=128) -> FitResult:
     """Weighted least squares of the diagonal against {t^((j-d)/2)}.
 
     Weights t^(d/2) equalize the variance across the geometric time grid.
     Requires times in (0, 0.5], at least 2*(J+2) samples, and a
-    discretization fine enough that min(t) * n^2 >= 10.  With with_log the
-    log-term coefficient is estimated by the dyadic ladder of
-    log_coefficient_estimate (see there for why an attached least-squares
-    log column is not usable at the required tolerance).
+    discretization fine enough that min(t) * n^2 >= 10.  The fit has no log
+    column (log_coefficient is None): log_coefficient_estimate says why one
+    is not usable at the required tolerance.
     """
     times = np.sort(np.asarray(times, dtype=float))
     J = int(max_index)
@@ -626,7 +630,4 @@ def fit_diagonal_expansion(op: OperatorSpec, times, max_index: int,
     sol, *_ = np.linalg.lstsq(dws, rhs, rcond=None)
     sol = sol / scales[:, None]
     resid = float(np.max(np.abs(dw @ sol - rhs)))
-    log_coef = None
-    if with_log:
-        log_coef, _ = log_coefficient_estimate(op, J, n_x=n_x)
-    return FitResult(grid, exps, sol.T, log_coef, resid, cond)
+    return FitResult(grid, exps, sol.T, None, resid, cond)

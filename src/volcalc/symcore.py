@@ -51,6 +51,12 @@ class SingularityError(ArithmeticError):
     """Evaluation hit a pole (Lambda = 0 with a negative power present)."""
 
 
+_PRUNE_REL = 1e-13  # from_grid drops amplitudes <= this share of the largest
+_REAL_TOL = 1e-12  # relative tolerance of the reality condition
+_POSITIVITY_FLOOR = 1e-8  # least metric eigenvalue on the validation grid
+_POSITIVITY_GRID_N = 64  # validation grid points per dimension
+
+
 def multi_indices(dim: int, total: int):
     """All multi-indices of length `dim` with |beta| == total."""
     if dim == 1:
@@ -140,7 +146,7 @@ class CoefficientField:
         return cls(dim, {k: amplitude / 2.0j, mk: -amplitude / 2.0j})
 
     @classmethod
-    def from_grid(cls, values, prune_rel=1e-13):
+    def from_grid(cls, values):
         """Project samples on the uniform grid x_j = 2*pi*j/n back to amplitudes."""
         values = np.asarray(values, dtype=complex)
         n = values.shape[0]
@@ -149,7 +155,7 @@ class CoefficientField:
         coef = np.fft.fftshift(np.fft.fftn(values) / values.size)
         if n % 2 == 0:  # -n/2 .. n/2 - 1: Nyquist stays at -n/2; close the box at +n/2
             coef = np.pad(coef, [(0, 1)] * values.ndim)
-        cutoff = prune_rel * max(np.max(np.abs(coef)), 1e-300)
+        cutoff = _PRUNE_REL * max(np.max(np.abs(coef)), 1e-300)
         coef[np.abs(coef) <= cutoff] = 0.0
         return cls._from_box(values.ndim, coef)
 
@@ -171,11 +177,11 @@ class CoefficientField:
     def max_freq(self) -> int:
         return self._box.shape[0] // 2
 
-    def is_real(self, tol=1e-12) -> bool:
+    def is_real(self) -> bool:
         """Check the reality condition c_{-k} = conj(c_k)."""
         scale = max(self.norm_inf(), 1.0)
         mirrored = self._box[(slice(None, None, -1),) * self.dim]
-        return bool(np.all(np.abs(mirrored - np.conj(self._box)) <= tol * scale))
+        return bool(np.all(np.abs(mirrored - np.conj(self._box)) <= _REAL_TOL * scale))
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.dim == other.dim \
@@ -305,13 +311,13 @@ class QuadraticForm:
     """Symmetric d x d array of trig-polynomial entries g_ij(x).
 
     G(x)(xi, xi) = sum_ij g_ij(x) xi_i xi_j.  Positive definiteness is
-    checked numerically on a uniform validation grid (64^d points by
-    default) against a small floor; symbolic positivity is out of reach.
+    checked numerically on a uniform validation grid (64^d points) against
+    the floor _POSITIVITY_FLOOR; symbolic positivity is out of reach.
     """
 
     __slots__ = ("dim", "entries")
 
-    def __init__(self, entries, check_positive=True, positivity_floor=1e-8, grid_n=64):
+    def __init__(self, entries, check_positive=True):
         rows = tuple(tuple(row) for row in entries)
         self.dim = len(rows)
         for i in range(self.dim):
@@ -326,10 +332,10 @@ class QuadraticForm:
                     raise ValueError(f"g[{i}][{j}] != g[{j}][{i}]: form must be symmetric")
         self.entries = rows
         if check_positive:
-            floor = self.min_eig_on_grid(grid_n)
-            if not floor >= positivity_floor:
+            floor = self.min_eig_on_grid()
+            if not floor >= _POSITIVITY_FLOOR:
                 raise NotPositiveDefiniteError(
-                    f"min eigenvalue {floor:.3e} below floor {positivity_floor:.1e}"
+                    f"min eigenvalue {floor:.3e} below floor {_POSITIVITY_FLOOR:.1e}"
                 )
 
     @classmethod
@@ -383,8 +389,8 @@ class QuadraticForm:
                for i in range(self.dim)]
         return QuadraticForm(ent, check_positive=False)
 
-    def min_eig_on_grid(self, grid_n=64):
-        mats = self._stacked(grid_points(grid_n, self.dim))
+    def min_eig_on_grid(self):
+        mats = self._stacked(grid_points(_POSITIVITY_GRID_N, self.dim))
         return float(np.min(np.linalg.eigvalsh(0.5 * (mats + np.conj(np.swapaxes(mats, 1, 2)))).real))
 
     def __repr__(self):

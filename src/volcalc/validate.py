@@ -17,7 +17,7 @@ from .deform import ScaledFamily, homogeneity_defect, measure_scaling_check
 from .heatexp import heat_coefficients
 from .report import ReportTable
 from .semigroup import (
-    ContourQuadrature,
+    default_quadrature,
     discretize,
     dunford_heat,
     fit_diagonal_expansion,
@@ -38,14 +38,32 @@ from .volterra import (
     sharp_product,
 )
 
-__all__ = ["CRITERIA", "run_acceptance", "criterion_summary", "add_fit_diagnostics"]
+__all__ = ["CRITERIA", "run_acceptance", "criterion_summary", "add_fit_diagnostics",
+           "window_fit"]
 
 Q0_FLAT_1D = (4.0 * np.pi) ** -0.5
+
+# criterion 4's Galerkin mode cutoffs, and criterion 7's defect rays
+_ORACLE_N_1D = 16
+_ORACLE_N_2D = 6
+_RAY_RADIUS = 16.0
+_RAY_COUNT = 10
+_RAY_FLOOR = 0.1
+_RAY_MAX_TRIES = 200
 
 
 # ---------------------------------------------------------------------------
 # criterion implementations
 # ---------------------------------------------------------------------------
+
+
+def window_fit(op):
+    """The diagonal fit of criterion 2 and `heat-coeffs --validate`.
+
+    Two orders past the compared q_0..q_2 keep the truncation bias below the
+    tolerances, and 7 powers still resolve e^{-3t} (drift_shift) up to t = 0.1.
+    """
+    return fit_diagonal_expansion(op, np.geomspace(0.005, 0.1, 28), 6, n_x=32)
 
 
 def add_fit_diagnostics(table, fit):
@@ -96,8 +114,7 @@ def criterion_2(corpus, rng):
                                default=0.0))
     table.add("q_2 symbolic = -(4pi)^-1/2 cos x", symbolic="-0.141047*e^(ix)+c.c.",
               numeric=sym_err, error=sym_err, tolerance=1e-14)
-    times = np.geomspace(0.02, 0.3, 28)
-    fit = fit_diagonal_expansion(op, times, 6, n_x=32)
+    fit = window_fit(op)
     xs = fit.x_grid[:, 0]
     fitted = fit.coefficients[:, 2]
     truth = -Q0_FLAT_1D * np.cos(xs)
@@ -125,27 +142,21 @@ def criterion_3(corpus, rng):
     return table
 
 
-def _corpus_discretizations(corpus, n_1d=16, n_2d=6):
-    for name, op in corpus.items():
-        yield name, discretize(op, n_1d if op.dim == 1 else n_2d)
-
-
 def criterion_4(corpus, rng):
     """Dunford quadrature vs eigendecomposition, semigroup law, contractivity."""
     table = ReportTable("criterion 4: semigroup oracle")
-    mats = list(_corpus_discretizations(corpus))
+    mats = [(name, discretize(op, _ORACLE_N_1D if op.dim == 1 else _ORACLE_N_2D))
+            for name, op in corpus.items()]
     R = rng.standard_normal((20, 20))
     rand_psd = R @ R.T
     rand_psd *= 10.0 / np.linalg.eigvalsh(rand_psd).max()
     mats.append(("random_20x20_psd", rand_psd))
-    # refine=2 resolves resolvent features of complex (drift) eigenvalues
-    quads = {t: ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t),
-                                  refine=2) for t in (0.3, 0.7, 1.0)}
-    for t, quad in quads.items():
-        table.add(f"contour nodes per ray t={t}", numeric=len(quad.nodes(t)[0]),
-                  passed=True)
+    ts = (0.3, 0.7, 1.0)
+    for t in ts:
+        table.add(f"contour nodes per ray t={t}",
+                  numeric=len(default_quadrature(t).nodes(t)[0]), passed=True)
     for name, Q in mats:
-        Es = {t: dunford_heat(Q, t, quad) for t, quad in quads.items()}
+        Es = {t: dunford_heat(Q, t) for t in ts}
         err = max(np.linalg.norm(Es[t] - matrix_heat_reference(Q, t), 2)
                   for t in Es)
         table.add(f"dunford vs reference {name}", numeric=err, error=err,
@@ -189,9 +200,7 @@ def criterion_5(corpus, rng):
 def criterion_6(corpus, rng):
     """Causality of every parametrix piece; anti-causal control must fail."""
     table = ReportTable("criterion 6: causality")
-    # finer tau grid: deep pieces carry t^p kernels whose slow decay would
-    # otherwise wrap around the periodic t-window
-    grid = CausalityGrid(n_tau=16384, tau_max=200.0)
+    grid = CausalityGrid()
     for name, op in corpus.items():
         res = parametrix(operator_symbol(op), 4)
         worst = 0.0
@@ -207,7 +216,7 @@ def criterion_6(corpus, rng):
     return table
 
 
-def _defect_rays(p, depths, rng, radius=16.0, count=10, floor=0.1, max_tries=200):
+def _defect_rays(p, depths, rng):
     """Random parabolic rays on the anisotropic shell, screened so each
     depth's leading defect component is actually excited (a ray on which the
     top coefficient interferes to near zero cannot certify the defect order).
@@ -221,7 +230,7 @@ def _defect_rays(p, depths, rng, radius=16.0, count=10, floor=0.1, max_tries=200
             tops.append(defect.graded_piece(td))
     rays = []
     tries = 0
-    while len(rays) < count and tries < max_tries:
+    while len(rays) < _RAY_COUNT and tries < _RAY_MAX_TRIES:
         tries += 1
         direction = rng.standard_normal(d)
         direction /= np.linalg.norm(direction)
@@ -231,10 +240,10 @@ def _defect_rays(p, depths, rng, radius=16.0, count=10, floor=0.1, max_tries=200
         tau_unit = (1.0 - split) * np.exp(1j * phase)
         x0 = rng.uniform(0.0, 2.0 * np.pi, d)
         x0 = x0 if d > 1 else float(x0[0])
-        if any(abs(top.evaluate(x0, xi_unit, tau_unit)) < floor * top.coeff_norm()
+        if any(abs(top.evaluate(x0, xi_unit, tau_unit)) < _RAY_FLOOR * top.coeff_norm()
                for top in tops if not top.is_zero()):
             continue
-        rays.append((x0, radius * xi_unit, radius**2 * tau_unit))
+        rays.append((x0, _RAY_RADIUS * xi_unit, _RAY_RADIUS**2 * tau_unit))
     return rays
 
 

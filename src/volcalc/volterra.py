@@ -63,6 +63,9 @@ class DegenerateGridError(ValueError):
     """Causality grid is too coarse or empty."""
 
 
+_SHARP_EXACT_CAP = 64  # sharp_exact stops at this order |alpha| if its sum has not ended
+
+
 # ---------------------------------------------------------------------------
 # operators and their symbols
 # ---------------------------------------------------------------------------
@@ -210,12 +213,12 @@ def sharp_product(q1: ParabolicSymbol, q2: ParabolicSymbol, depth: int) -> Parab
     return total.truncate_below(q1.order + q2.order - depth + 1)
 
 
-def sharp_exact(q1: ParabolicSymbol, q2: ParabolicSymbol, hard_cap=64) -> ParabolicSymbol:
+def sharp_exact(q1: ParabolicSymbol, q2: ParabolicSymbol) -> ParabolicSymbol:
     """Exact # product; requires q1 polynomial in xi so the sum terminates."""
     if any(l < 0 for (_, l) in q1.term_map()):
         raise DomainError("exact composition needs a polynomial left factor")
     q1._check_form(q2)
-    return _sharp_sum(q1, q2, hard_cap)
+    return _sharp_sum(q1, q2, _SHARP_EXACT_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +426,15 @@ class CausalKernel:
 
 @dataclass(frozen=True)
 class CausalityGrid:
-    """tau sampling for the FFT support check."""
+    """tau sampling for the FFT support check; by default fine enough that the
+    slow t^p kernels of deep parametrix pieces do not wrap around in t."""
 
-    n_tau: int = 4096
+    n_tau: int = 16384
     tau_max: float = 200.0
-    guard_steps: int = 2
-    edge_fraction: float = 0.05
 
     def __post_init__(self):
-        if self.n_tau < 64 or self.tau_max <= 0:
-            raise DegenerateGridError("need n_tau >= 64 and tau_max > 0")
+        if self.n_tau < 64 or not 0 < self.tau_max < math.inf:
+            raise DegenerateGridError("need n_tau >= 64 and a finite tau_max > 0")
 
 
 # Causal edge window: poles in the upper half-plane only, so it cannot leak
@@ -440,9 +442,12 @@ class CausalityGrid:
 _EDGE_SHARPNESS = 16.0
 _EDGE_POWER = 6.0
 _NOISE_FLOOR = 1e-12
+_REG_EPS = 1e-3
+_GUARD_STEPS = 2
+_EDGE_FRACTION = 0.05
 
 
-def _default_points(dim):
+def _sample_points(dim):
     if dim == 1:
         xs = [0.0, 1.3, 2.9]
         xis = [(1.0,), (-1.4,)]
@@ -453,18 +458,18 @@ def _default_points(dim):
     return xs, xis
 
 
-def causality_check(obj, grid=None, eps=1e-3, npow=None, x_points=None,
-                    xi_points=None, dim=None):
+def causality_check(obj, grid=None, dim=None):
     """Support-in-{t >= 0} verification; returns max_neg |k| / max |k|.
 
-    The symbol is multiplied by the regularizer (1 + i*eps*tau)^(-npow) and a
-    causal edge window, sampled on the tau grid, and inverse transformed per
-    fixed (x, xi).  A guard band of `guard_steps` around t = 0 and the outer
-    `edge_fraction` of the periodic t-range are excluded from the negative-
-    side maximum.  Sample points whose kernel maximum is at rounding level
-    (at most _NOISE_FLOOR times the largest over all points) are skipped: the
-    symbol vanishes there, and the kernel is rounding noise that says nothing
-    about support.  Ratio 0 by convention for an identically zero input.
+    The symbol is multiplied by the regularizer (1 + i*_REG_EPS*tau)^-(d+3)
+    and a causal edge window, sampled on the tau grid, and inverse transformed
+    per fixed (x, xi) of _sample_points.  A guard band of _GUARD_STEPS around
+    t = 0 and the outer _EDGE_FRACTION of the periodic t-range are excluded
+    from the negative-side maximum.  Sample points whose kernel maximum is at
+    rounding level (at most _NOISE_FLOOR times the largest over all points)
+    are skipped: the symbol vanishes there, and the kernel is rounding noise
+    that says nothing about support.  Ratio 0 by convention for an
+    identically zero input.
     """
     grid = grid or CausalityGrid()
     if isinstance(obj, ParabolicSymbol):
@@ -477,30 +482,19 @@ def causality_check(obj, grid=None, eps=1e-3, npow=None, x_points=None,
         evaluate = obj
     else:
         raise TypeError(f"cannot check causality of {type(obj).__name__}")
-    if npow is None:
-        npow = d + 3
-    if eps <= 0:
-        raise DomainError("regularizer eps must be positive")
-    if npow < d + 3:
-        raise DomainError(f"regularizer power must be >= d + 3 = {d + 3}")
-
-    xs_default, xis_default = _default_points(d)
-    xs = xs_default if x_points is None else list(x_points)
-    xis = xis_default if xi_points is None else list(xi_points)
+    xs, xis = _sample_points(d)
 
     n, T = grid.n_tau, grid.tau_max
     dtau = 2.0 * T / n
     taus = -T + dtau * np.arange(n)
-    reg = (1.0 + 1j * eps * taus) ** (-float(npow))
+    reg = (1.0 + 1j * _REG_EPS * taus) ** (-float(d + 3))
     window = (1.0 + 1j * _EDGE_SHARPNESS * taus / T) ** (-_EDGE_POWER)
     dt = 2.0 * np.pi / (n * dtau)
     mm = np.arange(n)
     tm = np.where(mm < n // 2, mm * dt, (mm - n) * dt)
     phase = np.exp(-1j * tm * T)
     t_edge = np.pi / dtau
-    neg_mask = (tm <= -grid.guard_steps * dt) & (tm >= -(1.0 - grid.edge_fraction) * t_edge)
-    if not np.any(neg_mask):
-        raise DegenerateGridError("guard band leaves no negative-t samples")
+    neg_mask = (tm <= -_GUARD_STEPS * dt) & (tm >= -(1.0 - _EDGE_FRACTION) * t_edge)
 
     peaks = []
     for x in xs:

@@ -7,7 +7,7 @@ import pytest
 
 from volcalc.cli import main
 from volcalc.report import ReportTable
-from volcalc.semigroup import ContourQuadrature
+from volcalc.semigroup import default_quadrature
 from volcalc.specfile import (
     SpecFileError,
     corpus_dir,
@@ -15,6 +15,7 @@ from volcalc.specfile import (
     load_corpus,
     load_operator_spec,
 )
+from volcalc.validate import run_acceptance
 
 FLAT_1D = os.path.join(corpus_dir(), "flat_laplacian_1d.json")
 COSINE = os.path.join(corpus_dir(), "cosine_potential.json")
@@ -100,6 +101,15 @@ def test_report_serialization_fixed_format(tmp_path):
     assert parsed["rows"][0]["pass"] is True
     csv_text = t.to_csv()
     assert csv_text.splitlines()[0] == "quantity,symbolic,numeric,error,tolerance,pass"
+
+
+def test_cli_out_json_escapes_control_characters(tmp_path, capsys):
+    doc = {"dim": 1, "name": "tab\there", "g": [{"i": 0, "j": 0, "freq": [0], "re": 1.0}]}
+    spec = tmp_path / "op.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["parametrix", "--op", str(spec), "--depth", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["title"] == "parametrix of d/dt + tab\there, depth 2"
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +208,12 @@ def test_cli_validate_out_byte_identical(tmp_path, capsys):
     ["parametrix", "--depth", "-1"],
     ["deform", "--hbar", "1.5"],
     ["semigroup", "--t", "0"],
+    ["semigroup", "--modes", "8", "--t", "inf"],
+    ["deform", "--lambda", "nan"],
+    ["causality", "--grid", "4096,inf"],
+    ["causality", "--grid", "4096,nan"],
 ], ids=["J_above_8", "J_negative", "modes_below_4", "depth_negative", "hbar_above_1",
-        "t_zero"])
+        "t_zero", "t_infinite", "lambda_nan", "tau_max_infinite", "tau_max_nan"])
 def test_cli_out_of_range_argument_exit_2(argv, capsys):
     assert main(argv + ["--op", FLAT_1D]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -256,8 +270,7 @@ def test_cli_semigroup_contour_node_rows(tmp_path, capsys):
     rows = {r["quantity"]: r for r in json.loads(path.read_text())["rows"]}
     for t in (0.3, 1.0):
         row = rows[f"contour nodes per ray t={t}"]
-        quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
-        assert row["numeric"] == len(quad.nodes(t)[0])
+        assert row["numeric"] == len(default_quadrature(t).nodes(t)[0])
         assert row["pass"] is True and row["tolerance"] is None
 
 
@@ -269,3 +282,33 @@ def test_cli_validate_fit_diagnostic_rows(tmp_path, capsys):
         assert rows[name]["pass"] is True
         assert rows[name]["tolerance"] is None
         assert rows[name]["numeric"] >= 0.0
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_cli_heat_coeffs_validate_passes_on_corpus(name, capsys):
+    path = os.path.join(corpus_dir(), f"{name}.json")
+    assert main(["heat-coeffs", "--op", path, "--J", "4", "--validate"]) == 0
+
+
+def _rows(path):
+    return {r["quantity"]: r["numeric"] for r in json.loads(path.read_text())["rows"]}
+
+
+def test_cli_semigroup_contour_matches_criterion_4(tmp_path, capsys):
+    path = tmp_path / "semigroup.json"
+    assert main(["semigroup", "--op", FLAT_1D, "--modes", "16", "--t", "0.3", "0.7", "1.0",
+                 "--out", str(path)]) == 0
+    cli = {q: v for q, v in _rows(path).items() if q.startswith("contour nodes")}
+    table, _ = run_acceptance(numbers=[4])
+    crit = {r.quantity: r.numeric for r in table.rows if r.quantity.startswith("contour nodes")}
+    assert len(cli) == 3 and cli == crit
+
+
+def test_cli_causality_matches_criterion_6(tmp_path, capsys):
+    table, _ = run_acceptance(numbers=[6])
+    crit = {r.quantity: r.numeric for r in table.rows}
+    for name in corpus_names():
+        path = tmp_path / f"{name}.json"
+        assert main(["causality", "--op", os.path.join(corpus_dir(), f"{name}.json"),
+                     "--depth", "4", "--out", str(path)]) == 0
+        assert max(_rows(path).values()) == crit[f"max piece ratio {name}"]

@@ -8,8 +8,10 @@ from scipy.linalg import expm
 
 from volcalc import semigroup
 from volcalc.semigroup import (
+    CONTOUR_VERTEX,
     ContourQuadrature,
     SpectrumSampleError,
+    default_quadrature,
     discretize,
     dunford_heat,
     fit_diagonal_expansion,
@@ -207,7 +209,7 @@ def test_dunford_corpus_consistency_default_quadrature():
 
 def test_dunford_drift_needs_refined_panels():
     disc = discretize(CORPUS["drift_shift"], 16)
-    quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / 0.3), refine=2)
+    quad = default_quadrature(0.3)
     E = dunford_heat(disc, 0.3, quad)
     assert np.linalg.norm(E - matrix_heat_reference(disc, 0.3), 2) <= 1e-10
 
@@ -220,7 +222,7 @@ def test_dunford_general_complex_matrix_matches_expm():
     assert not np.array_equal(Q, Q.conj().T)
     assert not np.array_equal(Q[::-1, ::-1], Q.conj())
     for t in (0.3, 1.0):
-        quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+        quad = default_quadrature(t)
         assert np.linalg.norm(dunford_heat(Q, t, quad) - expm(-t * Q), 2) <= 1e-10
 
 
@@ -234,7 +236,7 @@ def test_dunford_hermitian_2d_variable_potential():
     assert disc.size == 81 and np.array_equal(disc.matrix, disc.matrix.conj().T)
     assert np.any(disc.matrix.imag != 0)
     for t in (0.3, 1.0):
-        quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+        quad = default_quadrature(t)
         E = dunford_heat(disc, t, quad)
         assert np.linalg.norm(E - matrix_heat_reference(disc, t), 2) <= 1e-10
         assert np.linalg.norm(E - E.conj().T, 2) <= 1e-13
@@ -246,8 +248,7 @@ def test_dunford_diagonal_input_makes_no_solve(name, monkeypatch):
     disc = discretize(CORPUS[name], 6)
     assert disc.diagonal is not None
     ts = (0.3, 1.0)
-    quads = {t: ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
-             for t in ts}
+    quads = {t: default_quadrature(t) for t in ts}
     refs = {t: matrix_heat_reference(disc, t) for t in ts}
     dense = disc.matrix.copy()
 
@@ -291,8 +292,7 @@ def test_dunford_non_hermitian_galerkin_takes_band_route(make, n, monkeypatch):
     disc = discretize(make(), n)
     assert not disc.is_hermitian
     ts = (0.3, 1.0)
-    quads = {t: ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
-             for t in ts}
+    quads = {t: default_quadrature(t) for t in ts}
     refs = {t: matrix_heat_reference(disc, t) for t in ts}
     bands = []
     zgbsv = semigroup.zgbsv
@@ -330,15 +330,15 @@ def test_dunford_band_reaches_the_corner(corner):
     assert semigroup._bandwidth(Q) == ((7, 1) if corner == (7, 0) else (2, 7))
     assert not np.array_equal(Q[::-1, ::-1], Q.conj())
     for t in (0.3, 1.0):
-        quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+        quad = default_quadrature(t)
         assert np.linalg.norm(dunford_heat(Q, t, quad) - expm(-t * Q), 2) <= 1e-10
 
 
 def test_dunford_node_on_the_spectrum_raises():
     t = 0.5
-    quad = ContourQuadrature(nodes_per_ray=420, s_max=max(40.0, 40.0 / t), refine=2)
+    quad = default_quadrature(t)
     s, _ = quad.nodes(t)
-    lam = (quad.vertex + s * (1.0 + 1j))[7]  # an upper-ray node, formed as dunford_heat does
+    lam = (CONTOUR_VERTEX + s * (1.0 + 1j))[7]  # an upper-ray node, formed as dunford_heat does
     Q = np.array([[lam, 1.0], [0.0, 2.0]])
     with pytest.raises(SpectrumSampleError):
         dunford_heat(Q, t, quad)
