@@ -10,8 +10,6 @@ from .deform import (
     ScaledFamily,
     homogeneity_defect,
     measure_scaling_check,
-    model_kernel,
-    rescale_kernel,
     rescale_symbol,
 )
 from .heatexp import HeatCoefficient, HeatExpansion, heat_coefficients

@@ -31,7 +31,7 @@ from .semigroup import (
     resolvent_bound_check,
 )
 from .specfile import SpecFileError, load_operator_spec
-from .symcore import DomainError, NotPositiveDefiniteError
+from .symcore import DomainError
 from .validate import CRITERIA, add_fit_diagnostics, run_acceptance, window_fit
 from .volterra import (
     CausalKernel,
@@ -55,7 +55,7 @@ class _InputError(Exception):
 def _load(path):
     try:
         return load_operator_spec(path)
-    except (SpecFileError, NotPositiveDefiniteError) as exc:
+    except SpecFileError as exc:
         raise _InputError(str(exc))
 
 
@@ -231,8 +231,11 @@ def cmd_deform(args):
 
 
 def cmd_validate(args):
-    table, lines = run_acceptance(corpus_directory=args.corpus, seed=args.seed,
-                                  numbers=args.only)
+    try:
+        table, lines = run_acceptance(corpus_directory=args.corpus, seed=args.seed,
+                                      numbers=args.only)
+    except SpecFileError as exc:
+        raise _InputError(str(exc))
     print(table.format_text())
     print()
     for line in lines:

@@ -1,11 +1,12 @@
-"""Parabolic rescaling family: hbar-scaled symbols and kernels.
+"""Parabolic rescaling family: hbar-scaled symbols, homogeneity defects of
+causal kernels and the measure scaling.
 
 The scaling action on space-time chart coordinates is
 alpha_lam(x, z, hbar) = (x, delta_lam z, hbar/lam) with the anisotropic
-dilation delta_lam(zeta, t) = (lam*zeta, lam^2*t).  The family member at
-hbar is hbar^{-d-2} k(x, zeta*hbar, t*hbar^2); hbar = 1 returns the base
-object and hbar = 0 the model object built from the principal piece.  The
-hbar slot of the action is tracked as metadata only.
+dilation delta_lam(zeta, t) = (lam*zeta, lam^2*t).  The symbol member at
+hbar is q(x, hbar*xi, hbar^2*tau); hbar = 1 returns the base symbol and
+hbar = 0 its principal piece.  The hbar slot of the action is tracked as
+metadata only.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .volterra import CausalKernel
 __all__ = [
     "ScaledFamily",
     "rescale_symbol",
-    "rescale_kernel",
-    "model_kernel",
     "homogeneity_defect",
     "measure_scaling_check",
 ]
@@ -35,60 +34,13 @@ def rescale_symbol(q: ParabolicSymbol, hbar) -> ParabolicSymbol:
     return q.dilate(hbar)
 
 
-def rescale_kernel(k: CausalKernel, hbar) -> CausalKernel:
-    """(zeta, t) -> hbar^{-d-2} k(x, zeta*hbar, t*hbar^2), hbar > 0.
-
-    Each closed-form piece is strictly homogeneous: substituting xi -> xi/hbar
-    in its Gaussian transform shows the rescale is the scalar factor
-    hbar^(2*tpow - |beta| - 2d - 2) on the coefficient (equivalently
-    hbar^(-s - 2(d+2)) for a piece of symbol degree s).  Support in {t >= 0}
-    is untouched.
-    """
-    hbar = float(hbar)
-    if hbar <= 0.0:
-        raise DomainError("hbar must be positive; at hbar = 0 use model_kernel")
-    d = k.dim
-    out = []
-    from .volterra import KernelPiece
-
-    for p in k.pieces:
-        factor = hbar ** (2 * p.tpow - sum(p.beta) - 2 * d - 2)
-        out.append(KernelPiece(p.coeff.scale(factor), p.beta, p.tpow))
-    return CausalKernel(k.form, out)
-
-
-def model_kernel(k: CausalKernel) -> CausalKernel:
-    """hbar = 0 member: the kernel of the principal (top-degree) piece."""
-    return k.top_pieces()
-
-
 class ScaledFamily:
-    """hbar in [0, 1] family over a base symbol or causal kernel of known order."""
+    """A causal kernel and the order m of its family; the hbar = 0 (model)
+    member is its top-degree piece."""
 
-    def __init__(self, base, order=None):
+    def __init__(self, base: CausalKernel, order):
         self.base = base
-        if order is not None:
-            self.order = int(order)
-        elif isinstance(base, ParabolicSymbol):
-            self.order = base.order
-        elif isinstance(base, CausalKernel):
-            degs = base.degrees()
-            self.order = degs[0] if degs else 0
-        else:
-            raise TypeError("base must be a ParabolicSymbol or CausalKernel")
-
-    def at(self, hbar):
-        hbar = float(hbar)
-        if not 0.0 <= hbar <= 1.0:
-            raise DomainError("hbar must lie in [0, 1]")
-        if isinstance(self.base, ParabolicSymbol):
-            return rescale_symbol(self.base, hbar)
-        if hbar == 0.0:
-            return model_kernel(self.base)
-        return rescale_kernel(self.base, hbar)
-
-    def model(self):
-        return self.at(0.0)
+        self.order = int(order)
 
 
 def homogeneity_defect(family: ScaledFamily, lam, x, zeta_grid, t_grid,
@@ -114,7 +66,7 @@ def homogeneity_defect(family: ScaledFamily, lam, x, zeta_grid, t_grid,
         raise TypeError("homogeneity_defect operates on kernel families")
     m = family.order
     d = base.dim
-    ref = base if reference == "self" else model_kernel(base)
+    ref = base if reference == "self" else base.top_pieces()
     if reference not in ("self", "model"):
         raise DomainError(f"unknown reference {reference!r}")
     zeta_grid = np.atleast_2d(np.asarray(zeta_grid, dtype=float))

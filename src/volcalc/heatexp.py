@@ -40,7 +40,6 @@ class HeatExpansion:
 
     def __init__(self, dim, entries, log_coefficient=None, name="operator"):
         self.dim = dim
-        self.order = 2
         self.entries = tuple(entries)
         self.log_coefficient = log_coefficient or CoefficientField.zero(dim)
         self.name = name

@@ -40,7 +40,6 @@ from scipy.linalg import expm, hessenberg
 from scipy.linalg.lapack import zgbsv, zgtsv
 
 from .symcore import DomainError
-from .volterra import OperatorSpec
 
 __all__ = [
     "DiscretizedOperator",
@@ -136,7 +135,7 @@ class DiscretizedOperator:
 
     def require_nonnegative(self):
         if not self.is_nonnegative():
-            raise ValueError(
+            raise DomainError(
                 f"{self.name}: Hermitian part has eigenvalue {self.min_sym_eig:.3e} "
                 f"< -{_NONNEGATIVE_TOL:.0e}; semigroup bounds need a nonnegative operator")
 

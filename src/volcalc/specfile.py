@@ -20,7 +20,7 @@ import json
 import math
 import os
 
-from .symcore import CoefficientField, NotPositiveDefiniteError, QuadraticForm
+from .symcore import CoefficientField, QuadraticForm
 from .volterra import OperatorSpec
 
 __all__ = ["SpecFileError", "load_operator_spec", "corpus_dir", "corpus_names",
@@ -49,11 +49,9 @@ def _field_from_entries(dim, entries, key):
 
 
 def load_operator_spec(source) -> OperatorSpec:
-    """Parse a JSON document (path, file object, or dict) into an OperatorSpec."""
+    """Parse a JSON document (path or dict) into an OperatorSpec."""
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
     else:
         try:
             with open(source) as fh:
@@ -99,9 +97,7 @@ def load_operator_spec(source) -> OperatorSpec:
                 raise SpecFileError(f"metric entry g[{i}][{j}] is not real-valued")
     try:
         metric = QuadraticForm(grid)
-    except NotPositiveDefiniteError as exc:
-        raise SpecFileError(f"key 'g': {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # NotPositiveDefiniteError included
         raise SpecFileError(f"key 'g': {exc}") from exc
 
     draw = doc.get("b", [[] for _ in range(dim)])
@@ -130,7 +126,11 @@ def corpus_dir() -> str:
 
 def corpus_names(directory=None):
     directory = directory or corpus_dir()
-    return sorted(f[:-5] for f in os.listdir(directory) if f.endswith(".json"))
+    try:
+        files = os.listdir(directory)
+    except OSError as exc:
+        raise SpecFileError(f"cannot read corpus directory: {exc}") from exc
+    return sorted(f[:-5] for f in files if f.endswith(".json"))
 
 
 def load_corpus(directory=None):

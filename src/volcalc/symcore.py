@@ -566,9 +566,8 @@ class ParabolicSymbol:
         return ParabolicSymbol(self.form, tmap, order=self.order)
 
     def deriv(self, var):
-        """Exact derivative; var is 'tau', ('xi', i) or ('x', i).
+        """Exact derivative; var is ('xi', i) or ('x', i).
 
-        d/dtau Lambda^l = i*l*Lambda^(l-1)
         d/dxi_i Lambda^l = 2*l*Lambda^(l-1) * sum_j g_ij xi_j
         d/dx_i  Lambda^l = l*Lambda^(l-1) * (d_i G)(xi, xi)
         """
@@ -580,12 +579,9 @@ class ParabolicSymbol:
                 return
             out[key] = out[key] + coeff if key in out else coeff
 
-        if var == "tau":
-            for (beta, l), c in self._terms.items():
-                if l != 0:
-                    _acc((beta, l - 1), c.scale(1j * l))
-            return ParabolicSymbol(self.form, out, order=self.order - 2)
-
+        if not (isinstance(var, tuple) and len(var) == 2 and var[0] in ("xi", "x")):
+            raise DomainError(f"unknown derivative variable {var!r}; "
+                              "expected ('xi', i) or ('x', i)")
         kind, axis = var
         axis = int(axis)
         if not 0 <= axis < d:
@@ -607,26 +603,24 @@ class ParabolicSymbol:
                         _acc((tuple(nb), l - 1), (g * c).scale(2 * l))
             return ParabolicSymbol(self.form, out, order=self.order - 1)
 
-        if kind == "x":
-            dg = None
-            for (beta, l), c in self._terms.items():
-                _acc((beta, l), c.deriv(axis))
-                if l != 0:
-                    if dg is None:
-                        dg = self.form.deriv(axis)
-                    for i in range(d):
-                        for j in range(i, d):
-                            e = dg.entries[i][j]
-                            if e.is_zero():
-                                continue
-                            nb = list(beta)
-                            nb[i] += 1
-                            nb[j] += 1
-                            mult = l if i == j else 2 * l
-                            _acc((tuple(nb), l - 1), (e * c).scale(mult))
-            return ParabolicSymbol(self.form, out, order=self.order)
-
-        raise DomainError(f"unknown variable kind {kind!r}")
+        # kind == "x"
+        dg = None
+        for (beta, l), c in self._terms.items():
+            _acc((beta, l), c.deriv(axis))
+            if l != 0:
+                if dg is None:
+                    dg = self.form.deriv(axis)
+                for i in range(d):
+                    for j in range(i, d):
+                        e = dg.entries[i][j]
+                        if e.is_zero():
+                            continue
+                        nb = list(beta)
+                        nb[i] += 1
+                        nb[j] += 1
+                        mult = l if i == j else 2 * l
+                        _acc((tuple(nb), l - 1), (e * c).scale(mult))
+        return ParabolicSymbol(self.form, out, order=self.order)
 
     # -- evaluation --------------------------------------------------------
 

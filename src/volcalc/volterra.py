@@ -59,8 +59,8 @@ class ParametrixShapeError(ValueError):
     """Input symbol is not a heat-operator symbol (principal piece != Lambda)."""
 
 
-class DegenerateGridError(ValueError):
-    """Causality grid is too coarse or empty."""
+class DegenerateGridError(DomainError):
+    """Causality grid is too coarse, empty or not representable in floats."""
 
 
 _SHARP_EXACT_CAP = 64  # sharp_exact stops at this order |alpha| if its sum has not ended
@@ -101,13 +101,6 @@ class OperatorSpec:
     @property
     def dim(self):
         return self.metric.dim
-
-    @classmethod
-    def laplacian(cls, dim, name="flat_laplacian"):
-        d = dim
-        return cls(QuadraticForm.flat(d),
-                   tuple(CoefficientField.zero(d) for _ in range(d)),
-                   CoefficientField.zero(d), name=name)
 
     def apply_fd(self, func, x, h=1e-4):
         """Apply A to a scalar callable by central finite differences.
@@ -435,6 +428,10 @@ class CausalityGrid:
     def __post_init__(self):
         if self.n_tau < 64 or not 0 < self.tau_max < math.inf:
             raise DegenerateGridError("need n_tau >= 64 and a finite tau_max > 0")
+        step = 2.0 * self.tau_max / self.n_tau
+        if not np.finfo(float).tiny <= step < math.inf:
+            raise DegenerateGridError(
+                f"tau step 2*tau_max/n_tau = {step:.3g} is not a normal float")
 
 
 # Causal edge window: poles in the upper half-plane only, so it cannot leak
@@ -468,7 +465,8 @@ def causality_check(obj, grid=None, dim=None):
     from the negative-side maximum.  Sample points whose kernel maximum is at
     rounding level (at most _NOISE_FLOOR times the largest over all points)
     are skipped: the symbol vanishes there, and the kernel is rounding noise
-    that says nothing about support.  Ratio 0 by convention for an
+    that says nothing about support.  A non-finite kernel maximum is never
+    skipped: the ratio is then inf.  Ratio 0 by convention for an
     identically zero input.
     """
     grid = grid or CausalityGrid()
@@ -487,7 +485,11 @@ def causality_check(obj, grid=None, dim=None):
     n, T = grid.n_tau, grid.tau_max
     dtau = 2.0 * T / n
     taus = -T + dtau * np.arange(n)
-    reg = (1.0 + 1j * _REG_EPS * taus) ** (-float(d + 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reg = (1.0 + 1j * _REG_EPS * taus) ** (-float(d + 3))
+    if not (np.isfinite(reg).all() and reg[0] != 0):
+        raise DegenerateGridError(
+            f"tau_max = {T:.3g} is too large for the regularizer in d = {d}")
     window = (1.0 + 1j * _EDGE_SHARPNESS * taus / T) ** (-_EDGE_POWER)
     dt = 2.0 * np.pi / (n * dtau)
     mm = np.arange(n)
@@ -502,6 +504,8 @@ def causality_check(obj, grid=None, dim=None):
             qv = np.asarray(evaluate(x, xi, taus), dtype=complex)
             kv = (n * dtau / (2.0 * np.pi)) * np.fft.ifft(qv * reg * window) * phase
             peaks.append((float(np.max(np.abs(kv))), float(np.max(np.abs(kv[neg_mask])))))
+    if not np.isfinite(peaks).all():
+        return math.inf  # a non-finite kernel is no evidence of vanishing
     top = max((mx for mx, _ in peaks), default=0.0)
     return max((neg / mx for mx, neg in peaks if mx > _NOISE_FLOOR * top), default=0.0)
 

@@ -212,11 +212,37 @@ def test_cli_validate_out_byte_identical(tmp_path, capsys):
     ["deform", "--lambda", "nan"],
     ["causality", "--grid", "4096,inf"],
     ["causality", "--grid", "4096,nan"],
+    ["causality", "--grid", "4096,1e300"],
+    ["causality", "--grid", "4096,1e-310"],
 ], ids=["J_above_8", "J_negative", "modes_below_4", "depth_negative", "hbar_above_1",
-        "t_zero", "t_infinite", "lambda_nan", "tau_max_infinite", "tau_max_nan"])
+        "t_zero", "t_infinite", "lambda_nan", "tau_max_infinite", "tau_max_nan",
+        "tau_max_huge", "tau_step_subnormal"])
 def test_cli_out_of_range_argument_exit_2(argv, capsys):
     assert main(argv + ["--op", FLAT_1D]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_contraction_of_negative_operator_exit_2(tmp_path, capsys):
+    # V = -3 + cos x: the Hermitian part has eigenvalue -3.5
+    doc = {"dim": 1, "g": [{"i": 0, "j": 0, "freq": [0], "re": 1}],
+           "V": [{"freq": [0], "re": -3}, {"freq": [1], "re": 0.5},
+                 {"freq": [-1], "re": 0.5}]}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    assert main(["semigroup", "--op", str(path), "--check", "contraction"]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+def test_cli_validate_malformed_corpus_exit_2(tmp_path, capsys):
+    (tmp_path / "bad.json").write_text(json.dumps({"dim": 3}))
+    assert main(["validate", "--corpus", str(tmp_path), "--only", "11"]) == 2
+    assert "'dim'" in capsys.readouterr().err
+
+
+def test_cli_validate_missing_corpus_exit_2(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir"
+    assert main(["validate", "--corpus", str(missing), "--only", "11"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read corpus directory")
 
 
 @pytest.mark.parametrize("argv", [

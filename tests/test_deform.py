@@ -7,8 +7,6 @@ from volcalc.deform import (
     ScaledFamily,
     homogeneity_defect,
     measure_scaling_check,
-    model_kernel,
-    rescale_kernel,
     rescale_symbol,
 )
 from volcalc.specfile import load_corpus
@@ -68,30 +66,6 @@ def test_model_convergence_along_large_dilation():
 # ---------------------------------------------------------------------------
 
 
-def test_rescale_kernel_flat_heat_example():
-    kern = CausalKernel.from_symbol(lambda_power(FLAT1, -1))
-    hbar = 0.5
-    scaled = rescale_kernel(kern, hbar)
-    z, t = 0.5, 0.2
-    base = kern.eval_zeta(0.0, [z], t)
-    assert abs(scaled.eval_zeta(0.0, [z], t) - hbar**-4 * base) <= 1e-12 * abs(base)
-    direct = hbar**-3 * kern.eval_zeta(0.0, [z * hbar], t * hbar**2)
-    assert abs(scaled.eval_zeta(0.0, [z], t) - direct) <= 1e-12 * abs(direct)
-
-
-def test_rescale_kernel_identity_at_one():
-    kern = CausalKernel.from_symbol(lambda_power(FLAT1, -2))
-    scaled = rescale_kernel(kern, 1.0)
-    assert abs(scaled.eval_zeta(0.0, [0.3], 0.7) - kern.eval_zeta(0.0, [0.3], 0.7)) < 1e-15
-
-
-def test_rescale_kernel_zero_hbar_guard():
-    kern = CausalKernel.from_symbol(lambda_power(FLAT1, -1))
-    with pytest.raises(DomainError, match="model_kernel"):
-        rescale_kernel(kern, 0.0)
-    assert model_kernel(kern).degrees() == [-2]
-
-
 def test_kernel_homogeneity_identity():
     # k(delta_h(zeta, t)) = h^{-s-(d+2)} k(zeta, t) for strictly homogeneous pieces
     res = parametrix(operator_symbol(CORPUS["drift_shift"]), 2)
@@ -107,16 +81,6 @@ def test_kernel_homogeneity_identity():
 # ---------------------------------------------------------------------------
 # scaled families and the homogeneity defect
 # ---------------------------------------------------------------------------
-
-
-def test_family_returns_base_at_one():
-    q = parametrix(operator_symbol(CORPUS["cosine_potential"]), 2).symbol
-    fam = ScaledFamily(q)
-    assert fam.at(1.0).allclose(q)
-    kern = CausalKernel.from_symbol(q.graded_piece(-2))
-    famk = ScaledFamily(kern)
-    assert famk.at(1.0).eval_zeta(0.2, [0.5], 0.3) == kern.eval_zeta(0.2, [0.5], 0.3)
-    assert famk.order == -2
 
 
 def test_homogeneity_defect_strict_and_identity():
@@ -140,7 +104,9 @@ def test_homogeneity_defect_two_term_rate():
     res = parametrix(operator_symbol(CORPUS["drift_shift"]), 2)
     k2 = CausalKernel.from_symbol(res.symbol.graded_piece(-2))
     k3 = CausalKernel.from_symbol(res.symbol.graded_piece(-3))
-    fam = ScaledFamily(k2 + k3, order=-2)
+    kern = k2 + k3
+    assert kern.top_pieces().degrees() == [-2]  # the model (hbar = 0) member
+    fam = ScaledFamily(kern, order=-2)
     zg = np.array([[-2.0], [-0.7], [0.6], [1.9]])
     tg = np.array([0.25, 0.8, 1.7])
     sups = [homogeneity_defect(fam, lam, 0.4, zg, tg, reference="model")[1]

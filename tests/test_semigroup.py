@@ -1,5 +1,6 @@
 """Spectral discretization, contour heat family, approximants, diagonal fits."""
 
+import ast
 import tracemalloc
 
 import numpy as np
@@ -575,3 +576,18 @@ def test_corpus_spectral_positivity():
             assert disc.min_sym_eig < -1e-2
         else:
             assert disc.min_sym_eig >= -1e-8, name
+
+
+def test_oracle_imports_nothing_from_the_symbol_pipeline():
+    # the oracle shares only coefficient storage (symcore) with the symbol side
+    with open(semigroup.__file__) as fh:
+        tree = ast.parse(fh.read())
+    pipeline = {"volterra", "heatexp", "deform", "moments"}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for a in node.names for part in a.name.split("."))
+    assert not imported & pipeline

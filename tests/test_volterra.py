@@ -53,7 +53,7 @@ def perturbed_op():
 
 
 def test_operator_symbol_flat():
-    p = operator_symbol(OperatorSpec.laplacian(1))
+    p = operator_symbol(CORPUS["flat_laplacian_1d"])
     assert p.allclose(lambda_power(FLAT1, 1))
     assert p.degrees() == [2]
 
@@ -145,7 +145,7 @@ def test_principal_multiplicativity():
 
 def test_parametrix_flat_exact():
     for depth in (0, 2, 5):
-        res = parametrix(operator_symbol(OperatorSpec.laplacian(1)), depth)
+        res = parametrix(operator_symbol(CORPUS["flat_laplacian_1d"]), depth)
         assert res.symbol.allclose(lambda_power(FLAT1, -1))
         assert res.defect.is_zero()
 
@@ -355,6 +355,28 @@ def test_causality_skips_points_where_symbol_vanishes():
 def test_causality_grid_validation():
     with pytest.raises(DegenerateGridError):
         CausalityGrid(n_tau=8)
+
+
+def test_causality_grid_must_be_representable():
+    # a subnormal tau step, and a tau_max whose regularizer overflows
+    with pytest.raises(DegenerateGridError, match="normal float"):
+        CausalityGrid(n_tau=4096, tau_max=1e-310)
+    with pytest.raises(DegenerateGridError, match="regularizer"):
+        causality_check(lambda_power(FLAT1, -1), grid=CausalityGrid(4096, 1e300))
+
+
+def test_causality_nan_sample_fails():
+    # a NaN kernel maximum is not a vanishing symbol and must not be skipped
+    resolvent = lambda_power(FLAT1, -1)
+
+    def evaluate(x, xi, taus):
+        vals = resolvent.evaluate(x, xi, taus)
+        if x == 0.0:
+            vals[len(vals) // 2] = np.nan
+        return vals
+
+    assert causality_check(resolvent) <= 1e-5
+    assert causality_check(evaluate, dim=1) == math.inf
 
 
 def test_volterra_closure_products_stay_causal():
