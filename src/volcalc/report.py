@@ -2,13 +2,15 @@
 
 JSON and CSV serialization is deterministic: fixed field order and floats
 printed with 17 significant digits, so identical inputs produce
-byte-identical files.
+byte-identical files.  JSON has no token for a non-finite float, so
+`to_json` writes inf, -inf and nan as the strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 __all__ = ["ReportRow", "ReportTable", "fmt_float"]
@@ -89,7 +91,8 @@ class ReportTable:
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, (int, float)):
-            return fmt_float(value)
+            text = fmt_float(value)
+            return text if math.isfinite(value) else json.dumps(text)
         return json.dumps(str(value), ensure_ascii=False)
 
     def to_json(self) -> str:

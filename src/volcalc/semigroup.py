@@ -9,13 +9,16 @@ least-squares extraction of the small-time diagonal expansion.
 
 The contour resolvents are solved without eigenvalues.  The exact band
 (kl, ku) of the matrix is read once from its nonzero entries: band (0, 0),
-a diagonal, costs O(n) per node; a Hermitian matrix is reduced once to
-tridiagonal form, whose shifted systems cost O(n^2) each; any other matrix
-takes one banded LU solve (LAPACK zgbsv) per node, which is narrow for every
-Galerkin matrix of trigonometric coefficients in the lexicographic freqs
-order.  A conjugate symmetry of the matrix (Hermitian, or the k -> -k mirror
-of a real-coefficient Galerkin matrix) turns the lower ray's resolvents into
-the upper ray's, so only one ray is solved.
+a diagonal, costs O(n) per node; a Hermitian matrix is reduced once to a
+real symmetric tridiagonal T, and the closed-form inverse of T - lam (two
+pivot recurrences and one row recurrence) is evaluated for every node of
+the ray at once on (n, nodes) arrays, O(n^2) per node with no per-node
+solver call; any other matrix takes one banded LU solve (LAPACK zgbsv) per
+node, which is narrow for every Galerkin matrix of trigonometric
+coefficients in the lexicographic freqs order.  A conjugate symmetry of the
+matrix (Hermitian, or the k -> -k mirror of a real-coefficient Galerkin
+matrix) turns the lower ray's resolvents into the upper ray's, so only one
+ray is solved.
 
 The heat diagonal behind the fits and the log ladder uses real arithmetic
 when the Galerkin matrix has the exact k -> -k mirror symmetry, as it has for
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm, hessenberg
-from scipy.linalg.lapack import zgbsv, zgtsv
+from scipy.linalg.lapack import zgbsv
 
 from .symcore import DomainError
 
@@ -275,10 +278,11 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     0. Band (0, 0), or a DiscretizedOperator stored as its diagonal: O(n)
        per node; a real diagonal sums one ray as in case 1, a complex one
        sums both.  A 1x1 matrix always lands here.
-    1. Q Hermitian: Q = Z T Z^H with T tridiagonal (Hessenberg reduction,
-       kept exactly Hermitian), one O(n^2) tridiagonal solve of
-       (T - lam) Y = c I per upper-ray node, and R(conj lam) = R(lam)^H
-       gives E = Z (X - X^H) Z^H.
+    1. Q Hermitian: Q = Z T Z^H with T real symmetric tridiagonal
+       (Hessenberg reduction and a diagonal phase, _real_tridiagonal), the
+       closed-form inverses of T - lam for all upper-ray nodes at once
+       (_tridiagonal_ray_sum, O(n^2) per node, no pivoting), and
+       R(conj lam) = R(lam)^H gives E = Z (X - X^H) Z^H.
     2. Q[::-1, ::-1] == conj(Q), as for every Galerkin matrix of an operator
        with real coefficients (reversing the lexicographic freqs maps k to
        -k): one banded LU solve (LAPACK zgbsv) per upper-ray node, and
@@ -304,10 +308,9 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     kl, ku = _bandwidth(A)
     if kl == ku == 0:
         return _diagonal_heat(A.diagonal(), lams, coefs)
-    # band (0, 0) took every 1x1 matrix, so T has the off-diagonals zgtsv needs
     if np.array_equal(A, A.conj().T):
-        H, Z = hessenberg(A, calc_q=True)
-        X = _tridiagonal_ray_sum(H.diagonal().real, H.diagonal(-1), lams, coefs)
+        Z, a, b = _real_tridiagonal(A)
+        X = _tridiagonal_ray_sum(a, b, lams, coefs)
         total = Z @ (X - X.conj().T) @ Z.conj().T
     else:
         band = _band_storage(A, kl, ku)
@@ -377,7 +380,7 @@ def _band_storage(A, kl, ku):
 
 
 def _scaled_identity(n, c):
-    """c I in Fortran order, which zgbsv and zgtsv overwrite with the solution in place."""
+    """c I in Fortran order, which zgbsv overwrites with the solution in place."""
     B = np.zeros((n, n), dtype=complex, order="F")
     B.flat[::n + 1] = c
     return B
@@ -415,17 +418,62 @@ def _ray_sum(band, kl, ku, lams, coefs):
     return X
 
 
-def _tridiagonal_ray_sum(diag, sub, lams, coefs):
-    """sum_j c_j (T - lam_j)^{-1} for T = tridiag(sub, diag, conj(sub))."""
-    n = diag.size
-    X = np.zeros((n, n), dtype=complex, order="F")
-    sup = sub.conj()
-    for lam, c in zip(lams, coefs):
-        *_, Y, info = zgtsv(sub, diag - lam, sup, _scaled_identity(n, c), overwrite_b=1)
-        if info > 0:
-            raise SpectrumSampleError(f"resolvent solve failed at {lam}")
-        X += Y
-    return X
+def _real_tridiagonal(A):
+    """(Z, a, b) with A = Z T Z^H and T real symmetric tridiagonal, for a Hermitian A.
+
+    T has diagonal a and off-diagonal b >= 0.  The Hessenberg form
+    H = Z0^H A Z0 of a Hermitian A is tridiagonal with a real diagonal and
+    subdiagonal e; the diagonal phase D with D[0] = 1 and
+    D[i+1] = D[i] e_i / |e_i| makes D^H H D real, and Z = Z0 D.
+    """
+    H, Z = hessenberg(A, calc_q=True)
+    e = H.diagonal(-1)
+    phase = np.cumprod(np.concatenate(([1.0], np.exp(1j * np.angle(e)))))
+    return Z * phase, H.diagonal().real, np.abs(e)
+
+
+def _tridiagonal_ray_sum(a, b, lams, coefs):
+    """sum_j c_j (T - lam_j)^{-1} for T = tridiag(b, a, b) real, every node at once.
+
+    With alpha = a - lam, the forward pivots d_0 = alpha_0,
+    d_i = alpha_i - b_{i-1}^2 / d_{i-1} and the backward pivots
+    f_{n-1} = alpha_{n-1}, f_i = alpha_i - q_i with q_i = b_i^2 / f_{i+1} give
+    the closed-form inverse G = (T - lam)^{-1}: G_ii = 1 / (d_i - q_i), which
+    is 1 / (d_i + f_i - alpha_i), and G_ij = (-b_i / d_i) G_{i+1,j} for i < j.
+    G is complex symmetric, so only its upper triangle is built, row by row
+    from the bottom, each row on an (n, nodes) array and summed over the
+    nodes by one matrix-vector product; the sum is mirrored at the end.
+    """
+    n = a.size
+    alpha = a[:, None] - lams[None, :]  # (n, nodes): row i is alpha_i at every node
+    d = np.empty_like(alpha)
+    q = np.zeros_like(alpha)
+    # Every node has Im lam = s > 0, so Im alpha_i = -s, and Im p <= -s gives
+    # Im(-b^2 / p) = b^2 Im p / |p|^2 <= 0: by induction Im d_i <= -s,
+    # Im f_i <= -s and Im(d_i - q_i) <= -s.  No pivot vanishes, so no
+    # pivoting is needed; only an overflow can make a pivot non-finite.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d[0] = alpha[0]
+        for i in range(1, n):
+            d[i] = alpha[i] - b[i - 1] ** 2 / d[i - 1]
+        f = alpha[n - 1]
+        for i in range(n - 2, -1, -1):
+            q[i] = b[i] ** 2 / f
+            f = alpha[i] - q[i]
+        denom = d - q  # not finite wherever a pivot d_i or q_i is not
+    finite = np.isfinite(denom).all(axis=0)
+    if not finite.all():
+        raise SpectrumSampleError(f"resolvent solve failed at {lams[np.argmin(finite)]}")
+    diag = 1.0 / denom
+    ratio = -b[:, None] / d[:-1]
+    X = np.zeros((n, n), dtype=complex)
+    row = np.empty_like(alpha)  # row[j] = G_ij over the nodes, for j >= i
+    for i in range(n - 1, -1, -1):
+        if i < n - 1:
+            row[i + 1:] *= ratio[i]
+        row[i] = diag[i]
+        X[i, i:] = row[i:] @ coefs
+    return X + np.triu(X, 1).T
 
 
 def matrix_heat_reference(Q, t) -> np.ndarray:

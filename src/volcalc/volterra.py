@@ -442,6 +442,11 @@ _NOISE_FLOOR = 1e-12
 _REG_EPS = 1e-3
 _GUARD_STEPS = 2
 _EDGE_FRACTION = 0.05
+# Least window pi/dtau, in decay times 1/min G(xi, xi) of the symbol.  The
+# default grid resolves 128.7 of them at unit metric (64 at G = 0.5); below 8
+# the leading kernel e^{-tG} still holds e^{-8} = 3e-4 of its peak at the
+# window edge, so the support check could only report wrap-around.
+_MIN_DECAY_TIMES = 8.0
 
 
 def _sample_points(dim):
@@ -462,12 +467,14 @@ def causality_check(obj, grid=None, dim=None):
     and a causal edge window, sampled on the tau grid, and inverse transformed
     per fixed (x, xi) of _sample_points.  A guard band of _GUARD_STEPS around
     t = 0 and the outer _EDGE_FRACTION of the periodic t-range are excluded
-    from the negative-side maximum.  Sample points whose kernel maximum is at
-    rounding level (at most _NOISE_FLOOR times the largest over all points)
-    are skipped: the symbol vanishes there, and the kernel is rounding noise
-    that says nothing about support.  A non-finite kernel maximum is never
-    skipped: the ratio is then inf.  Ratio 0 by convention for an
-    identically zero input.
+    from the negative-side maximum.  A grid whose window pi/dtau holds fewer
+    than _MIN_DECAY_TIMES decay times 1/min G(xi, xi) of a ParabolicSymbol
+    over the sample points is refused with DegenerateGridError.  Sample
+    points whose kernel maximum is at rounding level (at most _NOISE_FLOOR
+    times the largest over all points) are skipped: the symbol vanishes
+    there, and the kernel is rounding noise that says nothing about support.
+    A non-finite kernel maximum is never skipped: the ratio is then inf.
+    Ratio 0 by convention for an identically zero input.
     """
     grid = grid or CausalityGrid()
     if isinstance(obj, ParabolicSymbol):
@@ -490,12 +497,20 @@ def causality_check(obj, grid=None, dim=None):
     if not (np.isfinite(reg).all() and reg[0] != 0):
         raise DegenerateGridError(
             f"tau_max = {T:.3g} is too large for the regularizer in d = {d}")
+    t_edge = np.pi / dtau
+    if isinstance(obj, ParabolicSymbol):
+        xi = np.array(xis)
+        metric = obj.form.matrix_at(np.reshape(xs, (len(xs), d)))
+        decay = 1.0 / np.einsum("ki,nij,kj->nk", xi, metric, xi).min()
+        if t_edge < _MIN_DECAY_TIMES * decay:
+            raise DegenerateGridError(
+                f"the grid resolves t up to pi/dtau = {t_edge:.3g}, less than "
+                f"{_MIN_DECAY_TIMES:g} decay times 1/min G(xi, xi) = {decay:.3g}")
     window = (1.0 + 1j * _EDGE_SHARPNESS * taus / T) ** (-_EDGE_POWER)
     dt = 2.0 * np.pi / (n * dtau)
     mm = np.arange(n)
     tm = np.where(mm < n // 2, mm * dt, (mm - n) * dt)
     phase = np.exp(-1j * tm * T)
-    t_edge = np.pi / dtau
     neg_mask = (tm <= -_GUARD_STEPS * dt) & (tm >= -(1.0 - _EDGE_FRACTION) * t_edge)
 
     peaks = []

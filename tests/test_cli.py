@@ -1,6 +1,7 @@
 """Spec-file parsing, report serialization, CLI subcommands and exit codes."""
 
 import json
+import math
 import os
 
 import pytest
@@ -101,6 +102,17 @@ def test_report_serialization_fixed_format(tmp_path):
     assert parsed["rows"][0]["pass"] is True
     csv_text = t.to_csv()
     assert csv_text.splitlines()[0] == "quantity,symbolic,numeric,error,tolerance,pass"
+
+
+def test_report_json_non_finite_round_trip():
+    t = ReportTable("non-finite")
+    t.add("ratio", numeric=math.inf, error=math.inf, tolerance=1e-5)
+    t.add("defect", symbolic=-math.inf, numeric=math.nan)
+    t.add("finite", numeric=0.5, error=-0.25, tolerance=0.0)
+    rows = json.loads(t.to_json())["rows"]
+    assert [r["numeric"] for r in rows] == ["inf", "nan", 0.5]
+    assert rows[0]["error"] == "inf" and rows[1]["symbolic"] == "-inf"
+    assert rows[2]["error"] == -0.25 and not rows[0]["pass"]
 
 
 def test_cli_out_json_escapes_control_characters(tmp_path, capsys):
@@ -214,9 +226,10 @@ def test_cli_validate_out_byte_identical(tmp_path, capsys):
     ["causality", "--grid", "4096,nan"],
     ["causality", "--grid", "4096,1e300"],
     ["causality", "--grid", "4096,1e-310"],
+    ["causality", "--depth", "2", "--grid", "4096,1e60"],
 ], ids=["J_above_8", "J_negative", "modes_below_4", "depth_negative", "hbar_above_1",
         "t_zero", "t_infinite", "lambda_nan", "tau_max_infinite", "tau_max_nan",
-        "tau_max_huge", "tau_step_subnormal"])
+        "tau_max_huge", "tau_step_subnormal", "tau_grid_too_coarse"])
 def test_cli_out_of_range_argument_exit_2(argv, capsys):
     assert main(argv + ["--op", FLAT_1D]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -256,7 +256,7 @@ def test_dunford_diagonal_input_makes_no_solve(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a diagonal input made a solve")
 
-    monkeypatch.setattr(semigroup, "zgtsv", refuse)
+    monkeypatch.setattr(semigroup, "_tridiagonal_ray_sum", refuse)
     monkeypatch.setattr(semigroup, "zgbsv", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for t in ts:
@@ -306,7 +306,7 @@ def test_dunford_non_hermitian_galerkin_takes_band_route(make, n, monkeypatch):
         raise AssertionError("a non-Hermitian input left the band route")
 
     monkeypatch.setattr(semigroup, "zgbsv", recording)
-    monkeypatch.setattr(semigroup, "zgtsv", refuse)
+    monkeypatch.setattr(semigroup, "_tridiagonal_ray_sum", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for t in ts:
         bands.clear()
@@ -315,6 +315,91 @@ def test_dunford_non_hermitian_galerkin_takes_band_route(make, n, monkeypatch):
         # mirror-symmetric (real coefficients): one banded solve per upper-ray node
         assert len(bands) == len(quads[t].nodes(t)[0])
         assert set(bands) == {(2, 2) if disc.dim == 1 else (10, 10)}
+
+
+@pytest.mark.parametrize("name", ["cosine_potential", "perturbed_metric"])
+def test_dunford_hermitian_galerkin_takes_closed_form_route(name, monkeypatch):
+    # one closed-form pass over the whole ray, and no solver call at any node
+    disc = discretize(CORPUS[name], 16)
+    assert disc.is_hermitian and disc.diagonal is None
+    assert not hasattr(semigroup, "zgtsv")
+    ts = (0.3, 1.0)
+    quads = {t: default_quadrature(t) for t in ts}
+    refs = {t: matrix_heat_reference(disc, t) for t in ts}
+    passes = []
+    ray_sum = semigroup._tridiagonal_ray_sum
+
+    def recording(a, b, lams, coefs):
+        passes.append(lams.size)
+        return ray_sum(a, b, lams, coefs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hermitian input made a per-node solve")
+
+    monkeypatch.setattr(semigroup, "_tridiagonal_ray_sum", recording)
+    monkeypatch.setattr(semigroup, "zgbsv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for t in ts:
+        passes.clear()
+        E = dunford_heat(disc, t, quads[t])
+        assert np.linalg.norm(E - refs[t], 2) <= 1e-10, t
+        assert passes == [len(quads[t].nodes(t)[0])]
+
+
+def _hermitian(eigs, seed):
+    """A complex Hermitian matrix with the given spectrum, exactly Hermitian."""
+    rng = np.random.default_rng(seed)
+    n = len(eigs)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    A = (U * np.asarray(eigs, dtype=float)) @ U.conj().T
+    return 0.5 * (A + A.conj().T)
+
+
+def _upper_ray(t):
+    s, w = default_quadrature(t).nodes(t)
+    lams = CONTOUR_VERTEX + s * (1.0 + 1j)
+    return lams, w * np.exp(-t * lams) * (1.0 + 1j)
+
+
+def _vertex_nodes():
+    # four nodes with s ~ 1e-4 next to the vertex, where T - lam is worst conditioned
+    lams = CONTOUR_VERTEX + 1e-4 * np.array([0.5, 1.0, 2.0, 4.0]) * (1.0 + 1j)
+    return lams, np.array([1.0, -2.0j, 0.5 + 1.0j, 3.0])
+
+
+def _reducible():
+    rng = np.random.default_rng(3)
+    b = rng.uniform(0.5, 3.0, 9)
+    b[4] = 0.0  # T splits into two 5 x 5 blocks
+    return np.diag(rng.uniform(0.0, 20.0, 10)) + np.diag(b, 1) + np.diag(b, -1)
+
+
+@pytest.mark.parametrize("A, nodes", [
+    (_hermitian(np.linspace(0.0, 50.0, 12), 1), _upper_ray(0.3)),
+    (_reducible(), _upper_ray(0.3)),
+    (_hermitian(np.r_[-0.5, np.linspace(0.5, 30.0, 11)], 2), _upper_ray(1.0)),
+    (_hermitian(np.r_[-0.9999, -0.5, np.linspace(0.5, 30.0, 10)], 4), _vertex_nodes()),
+], ids=["complex_hermitian", "reducible", "indefinite", "near_vertex"])
+def test_tridiagonal_ray_sum_matches_dense_solves(A, nodes):
+    # Z X Z^H = sum_j c_j (A - lam_j)^{-1}, against one dense solve per node;
+    # the tolerance is rounding times the worst condition number over the nodes
+    lams, coefs = nodes
+    eye = np.eye(A.shape[0])
+    Z, a, b = semigroup._real_tridiagonal(A)
+    assert np.all(b >= 0)
+    T = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+    assert np.linalg.norm(Z @ T @ Z.conj().T - A, 2) <= 1e-13 * np.linalg.norm(A, 2)
+    X = Z @ semigroup._tridiagonal_ray_sum(a, b, lams, coefs) @ Z.conj().T
+    ref = sum(c * np.linalg.solve(A - lam * eye, eye) for lam, c in zip(lams, coefs))
+    kappa = max(np.linalg.cond(A - lam * eye) for lam in lams)
+    assert np.linalg.norm(X - ref, 2) <= 4 * np.finfo(float).eps * kappa * np.linalg.norm(ref, 2)
+
+
+def test_dunford_hermitian_overflow_raises():
+    # eigenvalues +-1e200: the pivot recurrence overflows, and no node is finite
+    Q = np.array([[1.0, 1e200], [1e200, 1.0]])
+    with pytest.raises(SpectrumSampleError):
+        dunford_heat(Q, 0.5)
 
 
 @pytest.mark.parametrize("corner", [(7, 0), (0, 7)])

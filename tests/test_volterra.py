@@ -365,6 +365,17 @@ def test_causality_grid_must_be_representable():
         causality_check(lambda_power(FLAT1, -1), grid=CausalityGrid(4096, 1e300))
 
 
+def test_causality_grid_must_resolve_the_decay():
+    # the flat resolvent decays like e^{-t}: min G(xi, xi) = 1 over the sample points
+    resolvent = lambda_power(FLAT1, -1)
+    window = lambda decay_times: CausalityGrid(4096, np.pi * 4096 / (2.0 * decay_times))
+    with pytest.raises(DegenerateGridError, match="decay times"):
+        causality_check(resolvent, grid=window(7.9))
+    assert causality_check(resolvent, grid=window(8.1)) < 1.0
+    # a callable symbol has no metric to read, so no grid is refused for it
+    assert causality_check(anticausal_control(FLAT1), grid=window(7.9), dim=1) >= 0.5
+
+
 def test_causality_nan_sample_fails():
     # a NaN kernel maximum is not a vanishing symbol and must not be skipped
     resolvent = lambda_power(FLAT1, -1)
