@@ -7,27 +7,21 @@ contour quadrature of exp(-tQ) = (1/2*pi*i) int_Gamma e^{-t*lambda}
 approximants Q_lam = lam*Id - lam^2 (Q + lam)^{-1}, and weighted
 least-squares extraction of the small-time diagonal expansion.
 
-The contour resolvents are solved without eigenvalues.  The exact band
-(kl, ku) of the matrix is read once from its nonzero entries: band (0, 0),
-a diagonal, costs O(n) per node; a Hermitian matrix is reduced once to a
-real symmetric tridiagonal T, and the closed-form inverse of T - lam (two
-pivot recurrences and one row recurrence) is evaluated for every node of
-the ray at once on (n, nodes) arrays, O(n^2) per node with no per-node
-solver call; any other matrix takes one banded LU solve (LAPACK zgbsv) per
-node, which is narrow for every Galerkin matrix of trigonometric
-coefficients in the lexicographic freqs order.  A conjugate symmetry of the
-matrix (Hermitian, or the k -> -k mirror of a real-coefficient Galerkin
-matrix) turns the lower ray's resolvents into the upper ray's, so only one
-ray is solved.
+OperatorSpec stores its coefficients exactly real, so every Galerkin matrix
+has the exact k -> -k mirror symmetry Q[::-1, ::-1] == conj(Q) in the
+lexicographic freqs order, and a self-adjoint one is exactly Hermitian.  A
+matrix with neither symmetry is refused.  Either one turns the lower ray's
+contour resolvents into the upper ray's, so one ray is solved, without
+eigenvalues: a diagonal costs O(n) per node; a Hermitian matrix is reduced
+once to a real symmetric tridiagonal T, and the closed-form inverse of
+T - lam is evaluated for every node at once on (n, nodes) arrays; any other
+takes one banded LU solve (LAPACK zgbsv) per node over its exact band.
 
-The heat diagonal behind the fits and the log ladder uses real arithmetic
-when the Galerkin matrix has the exact k -> -k mirror symmetry, as it has for
-every operator with real coefficients: the matrix is taken by indexing to the
-real basis {1, sqrt2 cos<k,x>, sqrt2 sin<k,x>} (k over half the lattice),
-where it is real, and real symmetric when it is Hermitian.  A matrix without
-the symmetry (an operator with non-real coefficients) keeps the complex
-eigen-decomposition.  The Galerkin matrix itself, the contour heat and the
-reference exponential stay in the exponential basis.
+The heat diagonal behind the fits and the log ladder uses real arithmetic:
+the matrix is taken by indexing to the real basis {1, sqrt2 cos<k,x>,
+sqrt2 sin<k,x>} (k over half the lattice), where it is real, and real
+symmetric when it is Hermitian.  The Galerkin matrix itself, the contour
+heat and the reference exponential stay in the exponential basis.
 
 Everything here is independent of the symbol calculus: it only consumes an
 OperatorSpec and dense linear algebra.
@@ -170,10 +164,9 @@ def discretize(op: OperatorSpec, n: int) -> DiscretizedOperator:
 
     if constant:
         diag = sum(f.amplitudes.get((0,) * d, 0.0) * weight for f, weight in terms)
-        is_herm = bool(np.max(np.abs(diag.imag)) <= 1e-12 * max(1.0, np.max(np.abs(diag))))
-        if is_herm:
-            diag = diag.real.astype(complex)
-        return DiscretizedOperator(n, d, freqs, is_herm, diagonal=diag, name=op.name)
+        # exactly real coefficients: the imaginary part is the drift term alone
+        return DiscretizedOperator(n, d, freqs, not np.any(diag.imag), diagonal=diag,
+                                   name=op.name)
 
     M = np.zeros((size, size), dtype=complex)
     for f, weight in terms:
@@ -271,13 +264,13 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     encloses the right-half-plane spectrum with the sign that reproduces
     scalar exponentials.  The lower ray's nodes and weights are the
     conjugates of the upper ray's, so with X = sum_j c_j R(lam_j) over the
-    upper ray, R(lam) = (Q - lam)^{-1}, the cases are told apart by the exact
-    band (kl, ku) of Q, read once from its nonzero entries, and by exact
-    comparisons:
+    upper ray, R(lam) = (Q - lam)^{-1}, the routes are told apart by the
+    exact band half-width k of Q, read once from its nonzero entries, and by
+    exact comparisons:
 
-    0. Band (0, 0), or a DiscretizedOperator stored as its diagonal: O(n)
-       per node; a real diagonal sums one ray as in case 1, a complex one
-       sums both.  A 1x1 matrix always lands here.
+    0. k = 0, or a DiscretizedOperator stored as its diagonal: O(n) per
+       node; a real diagonal is Hermitian, a complex one must be
+       mirror-symmetric.  A 1x1 matrix always lands here.
     1. Q Hermitian: Q = Z T Z^H with T real symmetric tridiagonal
        (Hessenberg reduction and a diagonal phase, _real_tridiagonal), the
        closed-form inverses of T - lam for all upper-ray nodes at once
@@ -285,14 +278,14 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
        R(conj lam) = R(lam)^H gives E = Z (X - X^H) Z^H.
     2. Q[::-1, ::-1] == conj(Q), as for every Galerkin matrix of an operator
        with real coefficients (reversing the lexicographic freqs maps k to
-       -k): one banded LU solve (LAPACK zgbsv) per upper-ray node, and
-       R(conj lam) is R(lam) conjugated and reversed, so
+       -k), so the band is (k, k): one banded LU solve (LAPACK zgbsv) per
+       upper-ray node, and R(conj lam) is R(lam) conjugated and reversed, so
        E = X - conj(X)[::-1, ::-1].
-    3. Otherwise one banded LU solve per node on both rays.
 
-    The band of a Galerkin matrix of a trigonometric-coefficient operator is
-    narrow (half-width 2 for frequency-two coefficients in 1-D, 10 in 2-D at
-    81 modes); a full matrix is simply the full band.
+    Any other Q raises DomainError; a matrix Hermitian only up to rounding
+    is symmetrised first, 0.5 * (Q + Q^H).  The band of a Galerkin matrix of
+    trigonometric coefficients is narrow (k = 2 for frequency-two
+    coefficients in 1-D, 10 in 2-D at 81 modes).
     """
     if not 0 < t < np.inf:
         raise DomainError("time must be positive and finite")
@@ -305,36 +298,38 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     if isinstance(Q, DiscretizedOperator) and Q.diagonal is not None:
         return _diagonal_heat(Q.diagonal, lams, coefs)
     A = _as_matrix(Q)
-    kl, ku = _bandwidth(A)
-    if kl == ku == 0:
+    k = _bandwidth(A)
+    if k == 0:
         return _diagonal_heat(A.diagonal(), lams, coefs)
     if np.array_equal(A, A.conj().T):
         Z, a, b = _real_tridiagonal(A)
         X = _tridiagonal_ray_sum(a, b, lams, coefs)
         total = Z @ (X - X.conj().T) @ Z.conj().T
     else:
-        band = _band_storage(A, kl, ku)
-        X = _ray_sum(band, kl, ku, lams, coefs)
-        if _mirror_symmetric(A):
-            total = X - X[::-1, ::-1].conj()
-        else:
-            total = X - _ray_sum(band, kl, ku, lams.conj(), coefs.conj())
+        _require_mirror_symmetric(A)
+        X = _ray_sum(_band_storage(A, k), k, lams, coefs)
+        total = X - X[::-1, ::-1].conj()
     return total / (2j * np.pi)
 
 
 def _diagonal_heat(diag, lams, coefs):
-    """The contour sum for D = diag(diag): O(n) per node, one ray if D is real."""
+    """The contour sum for D = diag(diag) over one ray: Hermitian if real, else mirrored."""
     if diag.size > MAX_DENSE_MODES:
         raise MemoryError(f"dense matrix of size {diag.size} not materialized")
+    mirrored = np.any(diag.imag)
+    if mirrored:
+        _require_mirror_symmetric(diag)
     x = _diagonal_ray_sum(diag, lams, coefs)
-    if np.any(diag.imag):
-        return np.diag(x - _diagonal_ray_sum(diag, lams.conj(), coefs.conj())) / (2j * np.pi)
-    return np.diag(x - x.conj()) / (2j * np.pi)
+    return np.diag(x - (x[::-1] if mirrored else x).conj()) / (2j * np.pi)
 
 
-def _mirror_symmetric(A):
-    """A[::-1, ::-1] == conj(A) exactly: the k -> -k symmetry of real coefficients."""
-    return np.array_equal(A[::-1, ::-1], A.conj())
+def _require_mirror_symmetric(A):
+    """DomainError unless flip(A) == conj(A) exactly (A a matrix or a diagonal)."""
+    if not np.array_equal(np.flip(A), A.conj()):
+        raise DomainError(
+            "matrix is neither exactly Hermitian nor exactly mirror-symmetric "
+            "(Q[::-1, ::-1] == conj(Q), as for real coefficients); symmetrise a "
+            "matrix that is Hermitian up to rounding: 0.5 * (Q + Q^H)")
 
 
 def _real_form(A):
@@ -362,20 +357,20 @@ def _real_form(A):
 
 
 def _bandwidth(A):
-    """(kl, ku): the lower and upper half-bandwidths of A's nonzero entries."""
+    """k = max |i - j| over A's nonzero entries: the half-width of its band."""
     rows, cols = np.nonzero(A)
-    return int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
+    return int(np.max(np.abs(rows - cols), initial=0))
 
 
-def _band_storage(A, kl, ku):
-    """A in LAPACK band storage for zgbsv: A[i, j] at row kl + ku + i - j, column j.
+def _band_storage(A, k):
+    """A in LAPACK band storage for zgbsv with kl = ku = k: A[i, j] at row 2k + i - j, column j.
 
-    The first kl rows are left for the fill-in of the LU factors.
+    The first k rows are left for the fill-in of the LU factors.
     """
     n = A.shape[0]
-    band = np.zeros((2 * kl + ku + 1, n), dtype=complex, order="F")
-    for k in range(-kl, ku + 1):  # the k-th superdiagonal, A[i, i + k]
-        band[kl + ku - k, max(k, 0):n + min(k, 0)] = A.diagonal(k)
+    band = np.zeros((3 * k + 1, n), dtype=complex, order="F")
+    for j in range(-k, k + 1):  # the j-th superdiagonal, A[i, i + j]
+        band[2 * k - j, max(j, 0):n + min(j, 0)] = A.diagonal(j)
     return band
 
 
@@ -397,19 +392,18 @@ def _diagonal_ray_sum(diag, lams, coefs):
     return x
 
 
-def _ray_sum(band, kl, ku, lams, coefs):
+def _ray_sum(band, k, lams, coefs):
     """sum_j c_j (A - lam_j)^{-1}, one banded LU solve of (A - lam_j) Y = c_j I per node.
 
     band is A in the storage of _band_storage; only its main-diagonal row
-    changes from node to node, and zgbsv factors a copy of it.
+    changes from node to node, in place, and zgbsv factors a copy of it.
     """
     n = band.shape[1]
-    band = band.copy(order="F")
-    main = band[kl + ku].copy()
+    main = band[2 * k].copy()
     X = np.zeros((n, n), dtype=complex, order="F")
     for lam, c in zip(lams, coefs):
-        band[kl + ku] = main - lam
-        *_, Y, info = zgbsv(kl, ku, band, _scaled_identity(n, c), overwrite_b=1)
+        band[2 * k] = main - lam
+        *_, Y, info = zgbsv(k, k, band, _scaled_identity(n, c), overwrite_b=1)
         if info > 0:  # an exactly zero pivot: lam is an eigenvalue
             raise SpectrumSampleError(f"resolvent solve failed at {lam}")
         if info < 0:
@@ -477,12 +471,9 @@ def _tridiagonal_ray_sum(a, b, lams, coefs):
 
 
 def matrix_heat_reference(Q, t) -> np.ndarray:
-    """Reference exp(-tQ): eigendecomposition when Hermitian, expm otherwise."""
+    """Reference exp(-tQ): eigendecomposition when exactly Hermitian, expm otherwise."""
     A = _as_matrix(Q)
-    herm = isinstance(Q, DiscretizedOperator) and Q.is_hermitian
-    if not isinstance(Q, DiscretizedOperator):
-        herm = np.max(np.abs(A - A.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(A)))
-    if herm:
+    if np.array_equal(A, A.conj().T):
         w, U = np.linalg.eigh(A)
         return (U * np.exp(-t * w)) @ U.conj().T
     return expm(-t * A)
@@ -552,13 +543,13 @@ def heat_diagonal(disc: DiscretizedOperator, times, n_x=128):
     """Physical-space diagonal of exp(-tA) at grid points, one row per time.
 
     K(x, x) = (2*pi)^{-d} v(x)^T exp(-tM) conj(v(x)) with v(x)_k = exp(i<k,x>).
-    A Galerkin matrix with the exact k -> -k mirror symmetry (every operator
-    with real coefficients) is eigen-decomposed in its real form R = U^H M U
-    on the basis {1, sqrt2 cos<k,x>, sqrt2 sin<k,x>}, where the grid vectors
-    w(x) = U^T v(x) are real too and K(x, x) = (2*pi)^{-d} w^T exp(-tR) w.
-    A Hermitian M gives a real symmetric R, which takes a real eigh; any
-    other R takes a real eig, whose eigenvalues come in conjugate pairs.  A
-    matrix without the symmetry keeps the complex eigen-decomposition.
+    The Galerkin matrix has the exact k -> -k mirror symmetry of real
+    coefficients (any other is refused with DomainError) and is
+    eigen-decomposed in its real form R = U^H M U on the basis
+    {1, sqrt2 cos<k,x>, sqrt2 sin<k,x>}, where the grid vectors w(x) = U^T v(x)
+    are real too and K(x, x) = (2*pi)^{-d} w^T exp(-tR) w.  A Hermitian M
+    gives a real symmetric R, which takes a real eigh; any other R takes a
+    real eig, whose eigenvalues come in conjugate pairs.
     """
     times = np.asarray(times, dtype=float)
     d = disc.dim
@@ -570,24 +561,21 @@ def heat_diagonal(disc: DiscretizedOperator, times, n_x=128):
         for i, t in enumerate(times):
             out[i] = np.sum(np.exp(-t * disc.diagonal)).real
         return out * (2.0 * np.pi) ** (-d), grid
-    A = disc.matrix
-    if _mirror_symmetric(A):
-        phase = grid @ disc.freqs[(disc.size + 1) // 2:].T  # positive half
-        V = np.hstack([np.ones((grid.shape[0], 1)),
-                       np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)])
-        A = _real_form(A)
-    else:
-        V = np.exp(1j * grid @ disc.freqs.T)  # (n_points, size)
+    _require_mirror_symmetric(disc.matrix)
+    A = _real_form(disc.matrix)
+    phase = grid @ disc.freqs[(disc.size + 1) // 2:].T  # positive half
+    V = np.hstack([np.ones((grid.shape[0], 1)),
+                   np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)])
     out = np.empty((times.size, V.shape[0]))
     if disc.is_hermitian:
         w, U = np.linalg.eigh(A)
-        W = np.abs(V @ U) ** 2
+        W = (V @ U) ** 2
         for i, t in enumerate(times):
             out[i] = W @ np.exp(-t * w)
     else:
         w, S = np.linalg.eig(A)
         P = V @ S
-        R = np.linalg.solve(S, V.conj().T)
+        R = np.linalg.solve(S, V.T)
         for i, t in enumerate(times):
             out[i] = np.einsum("xj,j,jx->x", P, np.exp(-t * w), R).real
     return out * (2.0 * np.pi) ** (-d), grid

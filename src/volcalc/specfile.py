@@ -10,8 +10,9 @@ Schema:
     }
 
 g entries may be given for one triangle only (mirrored); when both (i, j)
-and (j, i) appear they must agree.  Finite amplitudes, reality
-(c_{-k} = conj(c_k)) and metric positivity are enforced at load time.
+and (j, i) appear they must agree.  Finite amplitudes and metric
+positivity are enforced at load time; reality (c_{-k} = conj(c_k) to 1e-12
+relative, then stored exactly) is OperatorSpec's.
 """
 
 from __future__ import annotations
@@ -93,8 +94,6 @@ def load_operator_spec(source) -> OperatorSpec:
             if a is not None and b is not None and a != b:
                 raise SpecFileError(f"metric entries g[{i}][{j}] and g[{j}][{i}] differ")
             grid[i][j] = a if a is not None else (b if b is not None else zero)
-            if not grid[i][j].is_real():
-                raise SpecFileError(f"metric entry g[{i}][{j}] is not real-valued")
     try:
         metric = QuadraticForm(grid)
     except ValueError as exc:  # NotPositiveDefiniteError included
@@ -103,16 +102,9 @@ def load_operator_spec(source) -> OperatorSpec:
     draw = doc.get("b", [[] for _ in range(dim)])
     if not isinstance(draw, list) or len(draw) != dim:
         raise SpecFileError("key 'b' must list one entry set per coordinate")
-    drift = []
-    for axis, entries in enumerate(draw):
-        f = _field_from_entries(dim, entries or [], f"b[{axis}]")
-        if not f.is_real():
-            raise SpecFileError(f"drift component b[{axis}] is not real-valued")
-        drift.append(f)
-
+    drift = [_field_from_entries(dim, entries or [], f"b[{axis}]")
+             for axis, entries in enumerate(draw)]
     pot = _field_from_entries(dim, doc.get("V", []) or [], "V")
-    if not pot.is_real():
-        raise SpecFileError("potential V is not real-valued")
 
     try:
         return OperatorSpec(metric, tuple(drift), pot, name=name)

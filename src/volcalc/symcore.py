@@ -177,11 +177,16 @@ class CoefficientField:
     def max_freq(self) -> int:
         return self._box.shape[0] // 2
 
-    def is_real(self) -> bool:
-        """Check the reality condition c_{-k} = conj(c_k)."""
+    def real_part(self, what):
+        """The field with c_{-k} = conj(c_k) exactly: self if that holds, else
+        c_k -> (c_k + conj(c_{-k})) / 2 if it holds to _REAL_TOL relative."""
+        mirrored = np.conj(self._box[(slice(None, None, -1),) * self.dim])
+        if np.array_equal(mirrored, self._box):
+            return self
         scale = max(self.norm_inf(), 1.0)
-        mirrored = self._box[(slice(None, None, -1),) * self.dim]
-        return bool(np.all(np.abs(mirrored - np.conj(self._box)) <= _REAL_TOL * scale))
+        if not np.all(np.abs(mirrored - self._box) <= _REAL_TOL * scale):
+            raise ValueError(f"{what} must be real-valued")
+        return CoefficientField._from_box(self.dim, 0.5 * (self._box + mirrored))
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.dim == other.dim \

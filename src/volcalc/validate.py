@@ -149,6 +149,7 @@ def criterion_4(corpus, rng):
             for name, op in corpus.items()]
     R = rng.standard_normal((20, 20))
     rand_psd = R @ R.T
+    rand_psd = 0.5 * (rand_psd + rand_psd.T)  # exactly symmetric, whatever the BLAS
     rand_psd *= 10.0 / np.linalg.eigvalsh(rand_psd).max()
     mats.append(("random_20x20_psd", rand_psd))
     ts = (0.3, 0.7, 1.0)

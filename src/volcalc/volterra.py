@@ -75,8 +75,9 @@ _SHARP_EXACT_CAP = 64  # sharp_exact stops at this order |alpha| if its sum has 
 class OperatorSpec:
     """Second-order operator A = -g^ij(x) d_i d_j + b^j(x) d_j + V(x) on T^d.
 
-    All coefficients are real-valued trig polynomials; the metric g must be
-    positive definite (validated by QuadraticForm).
+    All coefficients are real-valued trig polynomials, accepted to 1e-12
+    relative and stored exactly real (c_{-k} = conj(c_k)); the metric g must
+    be positive definite (validated by QuadraticForm).
     """
 
     metric: QuadraticForm
@@ -86,17 +87,15 @@ class OperatorSpec:
 
     def __post_init__(self):
         d = self.metric.dim
-        if len(self.drift) != d:
-            raise ValueError("drift must have one component per coordinate")
-        for i in range(d):
-            for j in range(d):
-                if not self.metric.entries[i][j].is_real():
-                    raise ValueError("metric coefficients must be real-valued")
-        for b in self.drift:
-            if b.dim != d or not b.is_real():
-                raise ValueError("drift coefficients must be real-valued")
-        if self.potential.dim != d or not self.potential.is_real():
-            raise ValueError("potential must be real-valued")
+        if len(self.drift) != d or any(f.dim != d for f in (*self.drift, self.potential)):
+            raise ValueError(f"need {d} drift components and every field on T^{d}")
+        entries = tuple(tuple(g.real_part("metric coefficients") for g in row)
+                        for row in self.metric.entries)
+        if entries != self.metric.entries:  # a snapped field is never equal to its input
+            object.__setattr__(self, "metric", QuadraticForm(entries))
+        object.__setattr__(self, "drift", tuple(b.real_part("drift coefficients")
+                                                for b in self.drift))
+        object.__setattr__(self, "potential", self.potential.real_part("potential"))
 
     @property
     def dim(self):

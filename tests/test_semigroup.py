@@ -23,7 +23,7 @@ from volcalc.semigroup import (
     matrix_heat_reference,
     resolvent_bound_check,
 )
-from volcalc.specfile import load_corpus
+from volcalc.specfile import load_corpus, load_operator_spec
 from volcalc.symcore import CoefficientField, DomainError, QuadraticForm
 from volcalc.volterra import OperatorSpec
 
@@ -215,16 +215,40 @@ def test_dunford_drift_needs_refined_panels():
     assert np.linalg.norm(E - matrix_heat_reference(disc, 0.3), 2) <= 1e-10
 
 
-def test_dunford_general_complex_matrix_matches_expm():
-    # neither Hermitian nor mirror-symmetric: both rays are solved
+def test_dunford_refuses_a_matrix_without_conjugate_symmetry():
+    # neither Hermitian nor mirror-symmetric: no route solves one ray for both
     rng = np.random.default_rng(7)
     N = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     Q = np.diag([0.5, 1.0, 2.0, 3.5, 5.0, 8.0]) + 0.3 * N
     assert not np.array_equal(Q, Q.conj().T)
     assert not np.array_equal(Q[::-1, ::-1], Q.conj())
-    for t in (0.3, 1.0):
-        quad = default_quadrature(t)
-        assert np.linalg.norm(dunford_heat(Q, t, quad) - expm(-t * Q), 2) <= 1e-10
+    with pytest.raises(DomainError, match="neither exactly Hermitian"):
+        dunford_heat(Q, 0.3)
+    # a complex diagonal without the mirror symmetry, dense or as the
+    # diagonal of a hand-built operator
+    diag = np.array([1.0 + 1.0j, 2.0, 3.0 - 0.5j])
+    disc = semigroup.DiscretizedOperator(1, 1, np.arange(3)[:, None] - 1, False,
+                                         diagonal=diag)
+    for Q in (np.diag(diag), disc):
+        with pytest.raises(DomainError, match="mirror-symmetric"):
+            dunford_heat(Q, 0.3)
+
+
+def test_dunford_refuses_a_matrix_hermitian_only_up_to_rounding():
+    # one entry of a Hermitian matrix one ulp off, as a product R R^H can
+    # leave it: refused, not solved on both rays
+    rng = np.random.default_rng(5)
+    R = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    H = R @ R.conj().T
+    H = 0.5 * (H + H.conj().T)
+    M = H.copy()
+    M[0, 1] = complex(np.nextafter(H[0, 1].real, np.inf), H[0, 1].imag)
+    assert not np.array_equal(M, M.conj().T)
+    assert np.max(np.abs(M - M.conj().T)) <= 1e-12 * np.max(np.abs(M))
+    with pytest.raises(DomainError, match="symmetrise"):
+        dunford_heat(M, 0.5)
+    E = dunford_heat(H, 0.5)
+    assert np.linalg.norm(E - matrix_heat_reference(H, 0.5), 2) <= 1e-10
 
 
 def test_dunford_hermitian_2d_variable_potential():
@@ -402,19 +426,23 @@ def test_dunford_hermitian_overflow_raises():
         dunford_heat(Q, 0.5)
 
 
-@pytest.mark.parametrize("corner", [(7, 0), (0, 7)])
+@pytest.mark.parametrize("corner", [(7, 0), (8, 0)])
 def test_dunford_band_reaches_the_corner(corner):
-    # a random band (kl, ku) = (2, 1), neither Hermitian nor mirror-symmetric,
-    # widened to the full lower or upper triangle by a single corner entry
+    # a random mirror-symmetric band of half-width 2, not Hermitian, widened
+    # to the full band by the corner (n - 1, 0) and its mirror (0, n - 1);
+    # at odd n the centre entry is its own mirror, as in a Galerkin matrix
     rng = np.random.default_rng(11)
-    n = 8
-    Q = np.diag(np.linspace(0.5, 6.0, n)).astype(complex)
-    for k in (-2, -1, 1):
-        Q += 0.3 * np.diag(rng.standard_normal(n - abs(k))
-                           + 1j * rng.standard_normal(n - abs(k)), k)
-    Q[corner] = 0.4 - 0.25j
-    assert semigroup._bandwidth(Q) == ((7, 1) if corner == (7, 0) else (2, 7))
-    assert not np.array_equal(Q[::-1, ::-1], Q.conj())
+    n = corner[0] + 1
+    k = np.arange(n) - (n - 1) / 2.0
+    Q = np.diag(0.5 + k ** 2 / 4.0 + 0.3j * k)
+    for j in (-2, -1, 1):
+        Q += 0.3 * np.diag(rng.standard_normal(n - abs(j))
+                           + 1j * rng.standard_normal(n - abs(j)), j)
+    Q = 0.5 * (Q + Q[::-1, ::-1].conj())
+    Q[corner], Q[0, n - 1] = 0.4 - 0.25j, 0.4 + 0.25j
+    assert semigroup._bandwidth(Q) == n - 1
+    assert np.array_equal(Q[::-1, ::-1], Q.conj())
+    assert not np.array_equal(Q, Q.conj().T)
     for t in (0.3, 1.0):
         quad = default_quadrature(t)
         assert np.linalg.norm(dunford_heat(Q, t, quad) - expm(-t * Q), 2) <= 1e-10
@@ -425,7 +453,8 @@ def test_dunford_node_on_the_spectrum_raises():
     quad = default_quadrature(t)
     s, _ = quad.nodes(t)
     lam = (CONTOUR_VERTEX + s * (1.0 + 1j))[7]  # an upper-ray node, formed as dunford_heat does
-    Q = np.array([[lam, 1.0], [0.0, 2.0]])
+    Q = np.array([[lam, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, np.conj(lam)]])
+    assert np.array_equal(Q[::-1, ::-1], Q.conj())  # the banded route
     with pytest.raises(SpectrumSampleError):
         dunford_heat(Q, t, quad)
 
@@ -604,7 +633,7 @@ def test_heat_diagonal_real_basis_matches_expm(name, monkeypatch):
     n, n_x, hermitian = DENSE_HEAT_CASES[name]
     disc = discretize(_real_coefficient_op(name), n)
     assert disc.is_hermitian == hermitian
-    assert semigroup._mirror_symmetric(disc.matrix)
+    assert np.array_equal(disc.matrix[::-1, ::-1], disc.matrix.conj())
     ref = _expm_diagonal(disc, DENSE_HEAT_TIMES, n_x)
     # the real form is eigen-decomposed: no complex eig or eigh is made
     monkeypatch.setattr(np.linalg, "eig", _refuse_complex(np.linalg.eig))
@@ -613,25 +642,39 @@ def test_heat_diagonal_real_basis_matches_expm(name, monkeypatch):
     assert np.max(np.abs(diag - ref) / np.abs(ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("term", ["potential", "drift"])
-def test_heat_diagonal_non_real_coefficient_takes_complex_path(term, monkeypatch):
-    # potential 0.2 e^{ix} (no -1 mode) or the self-adjoint drift term -0.3i d/dx:
-    # either breaks the mirror symmetry, so the complex basis is kept
+def test_heat_diagonal_refuses_a_matrix_without_mirror_symmetry():
+    # the self-adjoint drift term -0.3i d/dx, added by hand, keeps the matrix
+    # Hermitian but has no real-basis form
     base = discretize(_real_coefficient_op("hermitian_1d"), 12)
-    k = base.freqs[:, 0]
-    if term == "potential":
-        M, hermitian, solver = base.matrix + 0.2 * (k[:, None] == k[None, :] + 1), False, "eig"
-    else:
-        M, hermitian, solver = base.matrix + np.diag(0.3 * k), True, "eigh"
-    disc = semigroup.DiscretizedOperator(base.n, 1, base.freqs, hermitian, _matrix=M)
-    assert not semigroup._mirror_symmetric(M)
-    # heat_diagonal returns the real part of a complex diagonal
-    ref = _expm_diagonal(disc, DENSE_HEAT_TIMES, 8).real
-    diag, _ = heat_diagonal(disc, DENSE_HEAT_TIMES, n_x=8)
-    assert np.max(np.abs(diag - ref) / np.abs(ref)) <= 1e-12
-    monkeypatch.setattr(np.linalg, solver, _refuse_complex(getattr(np.linalg, solver)))
-    with pytest.raises(AssertionError, match=f"complex {solver} "):
+    M = base.matrix + np.diag(0.3 * base.freqs[:, 0])
+    disc = semigroup.DiscretizedOperator(base.n, 1, base.freqs, True, _matrix=M)
+    with pytest.raises(DomainError, match="mirror-symmetric"):
         heat_diagonal(disc, DENSE_HEAT_TIMES, n_x=8)
+
+
+def _near_real_drift_doc(eps):
+    """1-D drift spec whose c_{-1} of b is eps off conj(c_1)."""
+    return {"name": "near_real", "dim": 1,
+            "g": [{"i": 0, "j": 0, "freq": [0], "re": 1.0}],
+            "b": [[{"freq": [1], "re": 0.25, "im": -0.125},
+                   {"freq": [-1], "re": 0.25 + eps, "im": 0.125}]],
+            "V": [{"freq": [0], "re": 1.0}, {"freq": [1], "re": 0.5},
+                  {"freq": [-1], "re": 0.5}]}
+
+
+def test_near_real_spec_is_stored_exactly_real(monkeypatch):
+    # real to 1e-12 relative loads, and its coefficients are stored exactly
+    # real, so the oracle keeps its real-coefficient routes
+    exact = discretize(load_operator_spec(_near_real_drift_doc(0.0)), 12)
+    disc = discretize(load_operator_spec(_near_real_drift_doc(1e-13)), 12)
+    assert not disc.is_hermitian
+    assert np.array_equal(disc.matrix[::-1, ::-1], disc.matrix.conj())
+    ref, _ = heat_diagonal(exact, DENSE_HEAT_TIMES, n_x=8)
+    monkeypatch.setattr(np.linalg, "eig", _refuse_complex(np.linalg.eig))
+    diag, _ = heat_diagonal(disc, DENSE_HEAT_TIMES, n_x=8)
+    assert np.max(np.abs(diag - ref) / np.abs(ref)) <= 1e-11
+    E, E_exact = (dunford_heat(D, 0.3) for D in (disc, exact))
+    assert np.linalg.norm(E - E_exact, 2) <= 1e-11
 
 
 @pytest.mark.parametrize("name", sorted(DENSE_HEAT_CASES))

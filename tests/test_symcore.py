@@ -32,12 +32,20 @@ def perturbed_form():
 
 def test_field_arithmetic_and_reality():
     f = CoefficientField.real_cosine(1, (1,)) + CoefficientField.constant(1, 2.0)
-    assert f.is_real()
+    assert f.real_part("f") is f  # exactly real: no new field
     xs = np.linspace(0, 2 * np.pi, 9)
     vals = f.evaluate(xs)
     assert np.allclose(vals, 2.0 + np.cos(xs))
+    # real to 1e-12 relative: snapped to c_{-k} = conj(c_k) exactly
+    near = CoefficientField(1, {0: 2.0 + 1e-13j, 1: 0.5 + 1e-13j, -1: 0.5 - 2e-13j})
+    snapped = near.real_part("near")
+    amp = snapped.amplitudes
+    assert amp[(1,)] == np.conj(amp[(-1,)]) and amp[(0,)] == 2.0
+    assert snapped.real_part("snapped") is snapped
+    assert (snapped - near).norm_inf() <= 1e-12
     g = CoefficientField.harmonic(1, (1,), 1.0)  # e^{ix}: not real-valued
-    assert not g.is_real()
+    with pytest.raises(ValueError, match="g must be real-valued"):
+        g.real_part("g")
     prod = f * g
     assert np.allclose(prod.evaluate(xs), (2.0 + np.cos(xs)) * np.exp(1j * xs))
 

@@ -89,6 +89,20 @@ def test_operator_spec_rejects_complex_coefficients():
                      CoefficientField.harmonic(1, (1,), 1.0))
 
 
+def test_operator_spec_stores_coefficients_exactly_real():
+    exact = CoefficientField.constant(1, 1.0) + CoefficientField.real_cosine(1, (1,), 0.25)
+    drift = CoefficientField.real_sine(1, (1,), 0.5)
+    form = QuadraticForm([[exact]])
+    op = OperatorSpec(form, (drift,), exact)
+    # exact inputs are kept as they are: no new field, no new form
+    assert op.metric is form and op.drift[0] is drift and op.potential is exact
+    near = exact + CoefficientField.harmonic(1, (1,), 1e-13j)
+    op = OperatorSpec(QuadraticForm([[near]]), (drift,), near)
+    for field in (op.metric.entries[0][0], op.potential):
+        assert field.real_part("snapped") is field
+        assert (field - exact).norm_inf() <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # sharp products
 # ---------------------------------------------------------------------------
