@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm, hessenberg
+from scipy.linalg import eigvalsh_tridiagonal, expm, hessenberg
 from scipy.linalg.lapack import zgbsv
 
 from .symcore import DomainError
@@ -85,7 +85,8 @@ class DiscretizedOperator:
     cutoffs cheap.  Nonnegativity of the Hermitian part is recorded rather
     than enforced: the semigroup-theoretic checks (contractivity, bounded
     approximants) require it, plain heat diagonals do not.  Its measure,
-    min_sym_eig, is computed on first read (a dense eigvalsh) and cached.
+    min_sym_eig, is computed on first read (a dense eigvalsh) and cached, and
+    so are the eigenvalues that dunford_heat's banded route tests.
 
     `freqs` is the (size, d) int array of the basis frequencies k, in
     lexicographic order (the last coordinate varies fastest); row and column
@@ -100,6 +101,7 @@ class DiscretizedOperator:
     diagonal: np.ndarray | None = None
     _matrix: np.ndarray | None = None
     name: str = "operator"
+    _eigenvalues: np.ndarray | None = None
 
     @property
     def size(self):
@@ -116,6 +118,13 @@ class DiscretizedOperator:
                 self._min_sym_eig = float(
                     np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min())
         return self._min_sym_eig
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the matrix (a dense eigvals)."""
+        if self._eigenvalues is None:
+            self._eigenvalues = np.linalg.eigvals(self.matrix)
+        return self._eigenvalues
 
     @property
     def matrix(self):
@@ -283,7 +292,12 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
        E = X - conj(X)[::-1, ::-1].
 
     Any other Q raises DomainError; a matrix Hermitian only up to rounding
-    is symmetrised first, 0.5 * (Q + Q^H).  The band of a Galerkin matrix of
+    is symmetrised first, 0.5 * (Q + Q^H).  So does a spectrum outside the
+    wedge |Im z| < Re z - CONTOUR_VERTEX that the contour encloses, where the
+    sum would be exp(-tQ) times a spectral projector.  Each route tests its
+    own spectrum exactly: the diagonal's entries, the least eigenvalue of T
+    (eigvalsh_tridiagonal), or the eigenvalues of Q (np.linalg.eigvals,
+    cached on a DiscretizedOperator).  The band of a Galerkin matrix of
     trigonometric coefficients is narrow (k = 2 for frequency-two
     coefficients in 1-D, 10 in 2-D at 81 modes).
     """
@@ -303,10 +317,13 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
         return _diagonal_heat(A.diagonal(), lams, coefs)
     if np.array_equal(A, A.conj().T):
         Z, a, b = _real_tridiagonal(A)
+        _require_inside_contour(_least_eigenvalue(a, b))
         X = _tridiagonal_ray_sum(a, b, lams, coefs)
         total = Z @ (X - X.conj().T) @ Z.conj().T
     else:
         _require_mirror_symmetric(A)
+        _require_inside_contour(Q.eigenvalues if isinstance(Q, DiscretizedOperator)
+                                else np.linalg.eigvals(A))
         X = _ray_sum(_band_storage(A, k), k, lams, coefs)
         total = X - X[::-1, ::-1].conj()
     return total / (2j * np.pi)
@@ -319,6 +336,7 @@ def _diagonal_heat(diag, lams, coefs):
     mirrored = np.any(diag.imag)
     if mirrored:
         _require_mirror_symmetric(diag)
+    _require_inside_contour(diag)
     x = _diagonal_ray_sum(diag, lams, coefs)
     return np.diag(x - (x[::-1] if mirrored else x).conj()) / (2j * np.pi)
 
@@ -330,6 +348,16 @@ def _require_mirror_symmetric(A):
             "matrix is neither exactly Hermitian nor exactly mirror-symmetric "
             "(Q[::-1, ::-1] == conj(Q), as for real coefficients); symmetrise a "
             "matrix that is Hermitian up to rounding: 0.5 * (Q + Q^H)")
+
+
+def _require_inside_contour(eigs):
+    """DomainError unless every eigenvalue z has |Im z| < Re z - CONTOUR_VERTEX."""
+    outside = ~(np.abs(eigs.imag) < eigs.real - CONTOUR_VERTEX)
+    if outside.any():
+        raise DomainError(
+            f"eigenvalue {complex(eigs[outside][0]):.4g} lies outside the wedge "
+            f"|Im z| < Re z + {-CONTOUR_VERTEX:g} that the contour encloses; "
+            "its sum would not be exp(-tQ)")
 
 
 def _real_form(A):
@@ -424,6 +452,16 @@ def _real_tridiagonal(A):
     e = H.diagonal(-1)
     phase = np.cumprod(np.concatenate(([1.0], np.exp(1j * np.angle(e)))))
     return Z * phase, H.diagonal().real, np.abs(e)
+
+
+def _least_eigenvalue(a, b):
+    """Least eigenvalue of tridiag(b, a, b), as a 1-array, by bisection (LAPACK stebz).
+
+    stebz squares the off-diagonal, so T is scaled by a power of two (exact)
+    to entries of modulus at most 1 first.
+    """
+    scale = 2.0 ** np.frexp(max(np.max(np.abs(a)), np.max(b, initial=0.0)))[1]
+    return scale * eigvalsh_tridiagonal(a / scale, b / scale, select="i", select_range=(0, 0))
 
 
 def _tridiagonal_ray_sum(a, b, lams, coefs):

@@ -632,23 +632,37 @@ class ParabolicSymbol:
     def evaluate(self, x, xi, tau):
         """Value at (x, xi) for a scalar tau, or for each entry of an array tau.
 
-        Raises SingularityError at a pole.
+        `xi` is one covector or a (k, d) stack of them; a stack puts a leading
+        axis of length k on the value, and each coefficient field is still
+        evaluated once.  The terms are summed per power l of
+        Lambda = i*tau + G(xi, xi) first, and the sums are combined by
+        Horner's rule in Lambda (l >= 0) and in 1/Lambda (l < 0): one array
+        update per power, no complex power.  Raises SingularityError at a pole.
         """
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        g = self.form.value(x, xi)
-        if np.ndim(tau) == 0:
-            # Python complex arithmetic: a scalar routed through 0-d arrays is slower
-            lam = 1j * complex(tau) + g
-            at_pole = lam == 0
-            total = 0.0 + 0.0j
-        else:
-            lam = 1j * np.asarray(tau) + g
-            at_pole = np.any(lam == 0)
-            total = np.zeros(lam.shape, dtype=complex)
-        if at_pole and any(l < 0 for (_, l) in self._terms):
-            raise SingularityError("Lambda = 0 with a negative power present")
+        lead, tail = xi.shape[:-1], (1,) * np.ndim(tau)
+        g = (xi @ self.form.matrix_at(x) * xi).sum(axis=-1)
+        lam = 1j * np.asarray(tau) + np.reshape(g, lead + tail)
+        comps = xi.T  # comps[a]: component a of xi, over the stack if there is one
+        sums = {}
         for (beta, l), c in self._terms.items():
-            total += c.evaluate(x) * xi_monomial(xi, beta) * lam ** l
+            sums[l] = sums.get(l, 0.0) + c.evaluate(x) * xi_monomial(comps, beta)
+        if lead:  # a stack's axis goes in front of tau's
+            sums = {l: np.reshape(v, np.shape(v) + tail) for l, v in sums.items()}
+        lo, hi = min(sums, default=0), max(sums, default=-1)
+        if lo < 0 and (lam == 0).any():
+            raise SingularityError("Lambda = 0 with a negative power present")
+        total = np.zeros(np.shape(lam), dtype=complex)[()]
+        if lo < 0:  # the reciprocal only after the pole check
+            inv = 1.0 / lam
+            for l in range(lo, 0):  # Horner in 1/Lambda, ending on a_-1 / Lambda
+                total += sums.get(l, 0.0)
+                total *= inv
+        if hi >= 0:
+            high = 0.0
+            for l in range(hi, -1, -1):  # Horner in Lambda, ending on a_0
+                high = high * lam + sums.get(l, 0.0)
+            total += high
         return total
 
 

@@ -246,6 +246,20 @@ def test_cli_contraction_of_negative_operator_exit_2(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+def test_cli_semigroup_spectrum_outside_the_contour_exit_2(tmp_path, capsys):
+    # V = -3 cos x: least eigenvalue -1.84, outside the wedge the contour
+    # encloses, where the semigroup row used to pass on a wrong heat matrix
+    doc = {"dim": 1, "g": [{"i": 0, "j": 0, "freq": [0], "re": 1}],
+           "V": [{"freq": [1], "re": -1.5}, {"freq": [-1], "re": -1.5}]}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    for check in ("semigroup", "reference"):
+        argv = ["semigroup", "--op", str(path), "--modes", "16",
+                "--t", "0.3", "0.7", "1.0", "--check", check]
+        assert main(argv) == 2
+        assert "outside the wedge" in capsys.readouterr().err
+
+
 def test_cli_validate_malformed_corpus_exit_2(tmp_path, capsys):
     (tmp_path / "bad.json").write_text(json.dumps({"dim": 3}))
     assert main(["validate", "--corpus", str(tmp_path), "--only", "11"]) == 2

@@ -420,10 +420,15 @@ def test_tridiagonal_ray_sum_matches_dense_solves(A, nodes):
 
 
 def test_dunford_hermitian_overflow_raises():
-    # eigenvalues +-1e200: the pivot recurrence overflows, and no node is finite
-    Q = np.array([[1.0, 1e200], [1e200, 1.0]])
+    # eigenvalues 2e200 and 4e200, inside the wedge: the pivot recurrence
+    # overflows, and no node is finite
+    Q = np.array([[3e200, 1e200], [1e200, 3e200]])
     with pytest.raises(SpectrumSampleError):
         dunford_heat(Q, 0.5)
+    # eigenvalues 1 +- 1e200: -1e200 lies outside the wedge, and the least
+    # eigenvalue of T is found without overflow
+    with pytest.raises(DomainError, match="outside the wedge"):
+        dunford_heat(np.array([[1.0, 1e200], [1e200, 1.0]]), 0.5)
 
 
 @pytest.mark.parametrize("corner", [(7, 0), (8, 0)])
@@ -451,12 +456,63 @@ def test_dunford_band_reaches_the_corner(corner):
 def test_dunford_node_on_the_spectrum_raises():
     t = 0.5
     quad = default_quadrature(t)
-    s, _ = quad.nodes(t)
-    lam = (CONTOUR_VERTEX + s * (1.0 + 1j))[7]  # an upper-ray node, formed as dunford_heat does
+    s, w = quad.nodes(t)
+    lams = CONTOUR_VERTEX + s * (1.0 + 1j)  # the upper ray, formed as dunford_heat does
+    lam = lams[7]
     Q = np.array([[lam, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, np.conj(lam)]])
     assert np.array_equal(Q[::-1, ::-1], Q.conj())  # the banded route
-    with pytest.raises(SpectrumSampleError):
+    # an eigenvalue on the contour is not inside the wedge: refused up front
+    with pytest.raises(DomainError, match="outside the wedge"):
         dunford_heat(Q, t, quad)
+    # the banded solve itself reports the exact zero pivot at that node
+    k = semigroup._bandwidth(Q)
+    with pytest.raises(SpectrumSampleError):
+        semigroup._ray_sum(semigroup._band_storage(Q, k), k, lams, w)
+
+
+def _potential_ops():
+    flat, zero = QuadraticForm.flat(1), CoefficientField.zero(1)
+    cos = lambda a: CoefficientField.real_cosine(1, (1,), a)  # noqa: E731
+    return {
+        # V = -3 cos x: Hermitian, least eigenvalue -1.84
+        "hermitian": OperatorSpec(flat, (zero,), cos(-3.0)),
+        # b = 0.5 cos x, V = -3 cos x: mirror-symmetric band, eigenvalue -1.81
+        "banded": OperatorSpec(flat, (cos(0.5),), cos(-3.0)),
+        # V = -2: a real diagonal with entries -2 and -1
+        "real_diagonal": OperatorSpec(flat, (zero,), CoefficientField.constant(1, -2.0)),
+        # b = 3: a complex diagonal k^2 + 3ik, with 4 - 6i at k = -2
+        "complex_diagonal": OperatorSpec(flat, (CoefficientField.constant(1, 3.0),), zero),
+        # b = 2 cos x, V = -2 cos x: the numerical range crosses the contour,
+        # the spectrum does not
+        "accepted": OperatorSpec(flat, (cos(2.0),), cos(-2.0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["hermitian", "banded", "real_diagonal", "complex_diagonal"])
+def test_dunford_refuses_a_spectrum_outside_the_wedge(name):
+    # the contour encloses |Im z| < Re z + 1 only; at the parent commit these
+    # returned exp(-tQ) times a spectral projector, 0.4 to 7.4 off in 2-norm
+    disc = discretize(_potential_ops()[name], 16)
+    eigs = np.linalg.eigvals(disc.matrix)
+    assert not np.all(np.abs(eigs.imag) < eigs.real - CONTOUR_VERTEX)
+    with pytest.raises(DomainError, match="outside the wedge"):
+        dunford_heat(disc, 0.3)
+    with pytest.raises(DomainError, match="outside the wedge"):
+        dunford_heat(disc.matrix, 0.3)  # the dense input takes the same route
+
+
+def test_dunford_accepts_a_numerical_range_across_the_contour():
+    # the test is on the spectrum: a numerical range that reaches outside the
+    # wedge does not refuse an operator whose eigenvalues lie inside it
+    disc = discretize(_potential_ops()["accepted"], 16)
+    M = disc.matrix
+    assert np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min() < CONTOUR_VERTEX
+    eigs = disc.eigenvalues
+    assert np.all(np.abs(eigs.imag) < eigs.real - CONTOUR_VERTEX)
+    for t in (0.3, 1.0):
+        for Q in (disc, M):  # cached eigenvalues, and a raw array's own
+            assert np.linalg.norm(dunford_heat(Q, t) - expm(-t * M), 2) <= 1e-12
+    assert disc.eigenvalues is eigs  # computed once per operator
 
 
 def test_dunford_rejects_undersized_contour():

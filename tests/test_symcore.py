@@ -1,5 +1,7 @@
 """Symbol algebra: degrees, dilation, products, derivatives, evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -381,6 +383,78 @@ def test_eval_tau_grid_matches_scalar():
     assert grid.shape == taus.shape
     for i, tau in enumerate(taus):
         assert abs(grid[i] - q.evaluate(0.4, [1.2], tau)) < 1e-13
+
+
+def _term_by_term(q, x, xi, tau):
+    """sum of c(x) xi^beta Lambda^l with numpy ** per term, and the sum of |terms|."""
+    xi = np.asarray(xi, dtype=float)
+    lam = 1j * np.asarray(tau, dtype=complex) + xi @ q.form.matrix_at(x) @ xi
+    terms = [c.evaluate(x) * np.prod(xi ** np.array(beta)) * lam ** l
+             for (beta, l), c in q.term_map().items()]
+    return sum(terms, np.zeros_like(lam)), sum(np.abs(terms), np.zeros(lam.shape))
+
+
+def _mixed_powers(form):
+    # powers 2, 0, -1, -2 and -4 (a gap at -3), several terms per power
+    d = form.dim
+    e = [tuple(int(i == a) for i in range(d)) for a in range(d)]
+    two = tuple(2 * b for b in e[0])
+    return ParabolicSymbol(form, {
+        ((0,) * d, 2): CoefficientField.constant(d, 0.25),
+        (e[-1], 0): CoefficientField.real_cosine(d, e[0], -0.8),
+        ((0,) * d, 0): CoefficientField.constant(d, 1.5),
+        (e[0], -1): CoefficientField.real_sine(d, e[-1], 0.7),
+        (two, -2): CoefficientField.constant(d, -1.3),
+        ((0,) * d, -2): CoefficientField.real_cosine(d, e[0], 0.4),
+        (e[-1], -4): CoefficientField.constant(d, 2.0),
+    })
+
+
+@pytest.mark.parametrize("form", [perturbed_form(), QuadraticForm.flat(2)],
+                         ids=["metric1d", "flat2d"])
+def test_grouped_evaluation_matches_term_by_term(form):
+    q = _mixed_powers(form)
+    assert sorted({l for _, l in q.term_map()}) == [-4, -2, -1, 0, 2]
+    d = form.dim
+    x = (0.7,) * d if d > 1 else 0.7
+    xis = np.array([[1.1] * d, [-0.6] + [0.9] * (d - 1)])
+    taus = np.linspace(-30.0, 30.0, 101)
+    for xi in xis:
+        for tau in (taus, 0.4, -2.5 + 0.3j):
+            got = q.evaluate(x, xi, tau)
+            ref, size = _term_by_term(q, x, xi, tau)
+            assert np.shape(got) == np.shape(tau)
+            assert np.all(np.abs(got - ref) <= 1e-14 * size)
+    # a stack of covectors: one row per covector, each as evaluated alone
+    stacked = q.evaluate(x, xis, taus)
+    assert stacked.shape == (2, taus.size)
+    for row, xi in zip(stacked, xis):
+        assert np.array_equal(row, q.evaluate(x, xi, taus))
+    assert q.evaluate(x, xis, 0.4).shape == (2,)
+
+
+def test_zero_symbol_evaluates_to_zero():
+    zero = ParabolicSymbol.zero(FLAT1)
+    taus = np.linspace(-3.0, 3.0, 5)
+    assert np.array_equal(zero.evaluate(0.3, [1.0], taus), np.zeros(5))
+    assert zero.evaluate(0.3, [1.0], 0.5) == 0
+    assert np.shape(zero.evaluate(0.3, [1.0], 0.5)) == ()
+    # Lambda = 0 is no pole without a negative power
+    assert zero.evaluate(0.3, [0.0], 0.0) == 0
+
+
+def test_pole_raises_before_any_reciprocal():
+    taus = np.array([-1.0, 0.0, 1.0])
+    q = lambda_power(FLAT1, 2) + lambda_power(FLAT1, -3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero RuntimeWarning
+        for tau in (taus, 0.0, 0j):
+            with pytest.raises(SingularityError):
+                q.evaluate(0.0, [0.0], tau)
+        # no negative power: no reciprocal, and Lambda = 0 is an ordinary point
+        p = lambda_power(FLAT1, 2) + lambda_power(FLAT1, 0)
+        assert np.array_equal(p.evaluate(0.0, [0.0], taus), [0.0, 1.0, 0.0])
+        assert p.evaluate(0.0, [0.0], 0.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
