@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -200,9 +201,9 @@ def cmd_deform(args):
     table = ReportTable(f"parabolic rescaling family of {op.name}")
     for lam in args.lam:
         got = measure_scaling_check(lam, op.dim)
-        expect = lam ** (op.dim + 2)
-        table.add(f"measure scaling lam={lam}", symbolic=expect, numeric=got,
-                  error=abs(got - expect), tolerance=0.0)
+        expect = Fraction(lam) ** (op.dim + 2)
+        table.add(f"measure scaling lam={lam}", symbolic=float(expect), numeric=float(got),
+                  error=float(abs(got - expect)), tolerance=0.0)
     k2 = CausalKernel.from_symbol(res.symbol.graded_piece(-2))
     strict = ScaledFamily(k2, order=-2)
     zg = np.array([[-1.5], [0.5], [1.2]]) if op.dim == 1 else \

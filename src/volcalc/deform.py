@@ -11,6 +11,9 @@ metadata only.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from .symcore import DomainError, ParabolicSymbol
@@ -43,6 +46,19 @@ class ScaledFamily:
         self.order = int(order)
 
 
+def _dilation(lam, dim):
+    """lam as a float, refused unless lam^(d+2) and lam^-(d+2) are normal floats."""
+    lam = float(lam)
+    if not 0 < lam < np.inf:
+        raise DomainError("lam must be positive and finite")
+    power = Fraction(lam) ** (int(dim) + 2)
+    # the smaller of power and 1/power is the binding one: 1/tiny < float max
+    if min(power, 1 / power) < np.finfo(float).tiny:
+        raise DomainError(f"lam = {lam:g}: lam^(d+2) or lam^-(d+2) is not a "
+                          f"normal float for d = {dim}")
+    return lam
+
+
 def homogeneity_defect(family: ScaledFamily, lam, x, zeta_grid, t_grid,
                        reference="self"):
     """Defect field lam^(-m-d-2) k(x, delta_lam^{-1}(zeta, t)) - ref(x, zeta, t).
@@ -54,36 +70,28 @@ def homogeneity_defect(family: ScaledFamily, lam, x, zeta_grid, t_grid,
     identically for strictly homogeneous kernels and at lam = 1);
     reference="model" compares against the hbar = 0 member, under which the
     piece j orders below the top contributes exactly lam^-j, giving the
-    lam^-1 decay rate for two-term parametrix families.
+    lam^-1 decay rate for two-term parametrix families.  Each side is one
+    eval_zeta call over the whole grid.
 
     Returns (field, sup_norm) on the sample grid.
     """
-    lam = float(lam)
-    if not 0 < lam < np.inf:
-        raise DomainError("lam must be positive and finite")
     base = family.base
     if not isinstance(base, CausalKernel):
         raise TypeError("homogeneity_defect operates on kernel families")
-    m = family.order
-    d = base.dim
-    ref = base if reference == "self" else base.top_pieces()
     if reference not in ("self", "model"):
         raise DomainError(f"unknown reference {reference!r}")
+    d = base.dim
+    lam = _dilation(lam, d)
+    ref = base if reference == "self" else base.top_pieces()
     zeta_grid = np.atleast_2d(np.asarray(zeta_grid, dtype=float))
-    t_grid = np.asarray(t_grid, dtype=float)
-    field = np.empty((zeta_grid.shape[0], t_grid.size), dtype=complex)
-    scale = lam ** (-m - d - 2)
-    for i, z in enumerate(zeta_grid):
-        for j, t in enumerate(t_grid):
-            pushed = scale * base.eval_zeta(x, z / lam, t / lam**2)
-            field[i, j] = pushed - ref.eval_zeta(x, z, t)
+    t_grid = np.asarray(t_grid, dtype=float).ravel()
+    pushed = lam ** (-family.order - d - 2) * base.eval_zeta(x, zeta_grid / lam, t_grid / lam**2)
+    field = pushed - ref.eval_zeta(x, zeta_grid, t_grid)
     return field, float(np.max(np.abs(field)))
 
 
-def measure_scaling_check(lam, dim) -> float:
-    """Jacobian determinant of delta_lam on R^d x R; equals lam^(d+2) exactly."""
-    lam = float(lam)
-    if not 0 < lam < np.inf:
-        raise DomainError("lam must be positive and finite")
-    jac = np.diag([lam] * int(dim) + [lam**2])
-    return float(np.prod(np.diag(jac)))
+def measure_scaling_check(lam, dim) -> Fraction:
+    """Jacobian determinant of delta_lam on R^d x R, in exact rational
+    arithmetic, so it equals lam^(d+2) exactly."""
+    lam = Fraction(_dilation(lam, dim))
+    return math.prod([lam] * int(dim) + [lam**2])

@@ -36,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigvalsh_tridiagonal, expm, hessenberg
 from scipy.linalg.lapack import zgbsv
 
-from .symcore import DomainError
+from .symcore import DomainError, grid_points
 
 __all__ = [
     "DiscretizedOperator",
@@ -591,8 +591,7 @@ def heat_diagonal(disc: DiscretizedOperator, times, n_x=128):
     """
     times = np.asarray(times, dtype=float)
     d = disc.dim
-    ax = 2.0 * np.pi * np.arange(n_x) / n_x
-    grid = ax[np.indices((n_x,) * d).reshape(d, -1).T]
+    grid = grid_points(n_x, d)
     if disc.diagonal is not None:
         # constant coefficients: diagonal in x, no dense algebra needed
         out = np.empty((times.size, grid.shape[0]))
@@ -630,7 +629,7 @@ def resolution_cutoff(op: OperatorSpec, t_min, resolve=18.0) -> int:
     return int(np.ceil(np.sqrt(resolve / (float(t_min) * gmin))))
 
 
-def log_coefficient_estimate(op: OperatorSpec, max_index: int, n_x=128, _inject=0.0):
+def log_coefficient_estimate(op: OperatorSpec, max_index: int, n_x=128):
     """Coefficient of t^((J-d)/2) log t in the diagonal, per grid point.
 
     Estimated by a dyadic scale-comparison ladder: the diagonal profile
@@ -651,8 +650,6 @@ def log_coefficient_estimate(op: OperatorSpec, max_index: int, n_x=128, _inject=
     times = _LADDER_T0 * 2.0 ** (-np.arange(len(stages) + 1.0))
     disc = discretize(op, resolution_cutoff(op, times.min(), _LADDER_RESOLVE))
     diag, grid = heat_diagonal(disc, times, n_x=n_x)
-    if _inject:
-        diag = diag + _inject * (times ** ((J - d) / 2.0) * np.log(times))[:, None]
     f = diag * (times ** (d / 2.0))[:, None]
     basis = (times ** (J / 2.0) * np.log(times))[:, None]
 

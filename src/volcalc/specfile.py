@@ -10,9 +10,10 @@ Schema:
     }
 
 g entries may be given for one triangle only (mirrored); when both (i, j)
-and (j, i) appear they must agree.  Finite amplitudes and metric
-positivity are enforced at load time; reality (c_{-k} = conj(c_k) to 1e-12
-relative, then stored exactly) is OperatorSpec's.
+and (j, i) appear they must agree.  Finite amplitudes are enforced here;
+reality (c_{-k} = conj(c_k) to 1e-12 relative, then stored exactly) is
+QuadraticForm's for the metric, together with its symmetry and positivity,
+and OperatorSpec's for the drift and potential.
 """
 
 from __future__ import annotations
@@ -86,17 +87,12 @@ def load_operator_spec(source) -> OperatorSpec:
     fields = {}
     for (i, j), entries in slots.items():
         fields[(i, j)] = _field_from_entries(dim, entries, f"g[{i}][{j}]")
-    grid = [[None] * dim for _ in range(dim)]
     zero = CoefficientField.zero(dim)
-    for i in range(dim):
-        for j in range(dim):
-            a, b = fields.get((i, j)), fields.get((j, i))
-            if a is not None and b is not None and a != b:
-                raise SpecFileError(f"metric entries g[{i}][{j}] and g[{j}][{i}] differ")
-            grid[i][j] = a if a is not None else (b if b is not None else zero)
+    grid = [[fields.get((i, j), fields.get((j, i), zero)) for j in range(dim)]
+            for i in range(dim)]
     try:
         metric = QuadraticForm(grid)
-    except ValueError as exc:  # NotPositiveDefiniteError included
+    except ValueError as exc:  # asymmetry, non-real and NotPositiveDefiniteError
         raise SpecFileError(f"key 'g': {exc}") from exc
 
     draw = doc.get("b", [[] for _ in range(dim)])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 from itertools import product as _cartesian
 
 import numpy as np
@@ -390,9 +391,9 @@ def criterion_10(corpus, rng):
     for lam in (0.5, 1.0, 2.0, 3.0):
         for d in (1, 2):
             got = measure_scaling_check(lam, d)
-            worst = max(worst, abs(got - lam ** (d + 2)))
+            worst = max(worst, abs(got - Fraction(lam) ** (d + 2)))
     table.add("jacobian = lam^(d+2) exactly, lam in {1/2,1,2,3}, d in {1,2}",
-              numeric=worst, error=worst, tolerance=0.0)
+              numeric=float(worst), error=float(worst), tolerance=0.0)
     return table
 
 

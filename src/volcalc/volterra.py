@@ -76,8 +76,9 @@ class OperatorSpec:
     """Second-order operator A = -g^ij(x) d_i d_j + b^j(x) d_j + V(x) on T^d.
 
     All coefficients are real-valued trig polynomials, accepted to 1e-12
-    relative and stored exactly real (c_{-k} = conj(c_k)); the metric g must
-    be positive definite (validated by QuadraticForm).
+    relative and stored exactly real (c_{-k} = conj(c_k)): the metric g by
+    QuadraticForm, which also checks that it is positive definite, and the
+    drift and potential here.
     """
 
     metric: QuadraticForm
@@ -89,10 +90,6 @@ class OperatorSpec:
         d = self.metric.dim
         if len(self.drift) != d or any(f.dim != d for f in (*self.drift, self.potential)):
             raise ValueError(f"need {d} drift components and every field on T^{d}")
-        entries = tuple(tuple(g.real_part("metric coefficients") for g in row)
-                        for row in self.metric.entries)
-        if entries != self.metric.entries:  # a snapped field is never equal to its input
-            object.__setattr__(self, "metric", QuadraticForm(entries))
         object.__setattr__(self, "drift", tuple(b.real_part("drift coefficients")
                                                 for b in self.drift))
         object.__setattr__(self, "potential", self.potential.real_part("potential"))
@@ -354,37 +351,40 @@ class CausalKernel:
         return out if out.ndim else complex(out)
 
     def eval_zeta(self, x, zeta, t):
-        """Full (zeta, t) value at one point, via the Gaussian xi-integral.
+        """Full (zeta, t) value at one point x, via the Gaussian xi-integral.
 
+        zeta is one covector or a (k, d) stack of them and t a scalar or an
+        array; the value has shape (k,) + t.shape for a stack, t.shape for
+        one covector.  It is exactly 0 where t < 0, and t = 0 raises
+        DomainError.  The metric is factorised once per call:
         int xi^beta e^{i<zeta,xi>} e^{-t G(xi,xi)} dxi is reduced to central
-        moments of the covariance (2 t G)^{-1} after the complex shift
-        xi -> xi + i (2t)^{-1} G^{-1} zeta.
+        moments of the covariance Sigma / t, Sigma = G^{-1} / 2, after the
+        complex shift xi -> xi + i Sigma zeta / t.
         """
-        t = float(t)
-        if t < 0:
-            return 0.0 + 0.0j
-        if t == 0.0:
+        t = np.asarray(t, dtype=float)
+        if np.any(t == 0.0):
             raise DomainError("closed-form zeta evaluation needs t > 0")
         d = self.dim
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-        g = self.form.matrix_at(x)
-        ginv = np.linalg.inv(g)
-        det = np.linalg.det(g)
-        base = (np.pi / t) ** (d / 2.0) / np.sqrt(det) * \
-            np.exp(-float(zeta @ ginv @ zeta) / (4.0 * t))
-        mu = ginv @ zeta / (2.0 * t)
-        sigma = ginv / (2.0 * t)
-        total = 0.0 + 0.0j
+        norm, sigma = _gaussian_factors(self.form.matrix_at(x))
+        live = ~(t < 0)
+        tl, inv = t[live], 1.0 / t[live]
+        w = zeta @ sigma  # Sigma zeta, over the stack if there is one
+        cov = np.multiply.outer(sigma, inv)  # (d, d, m), central_moment's layout
+        mu = np.multiply.outer(w, inv)  # the shift, (..., d, m)
+        base = norm * tl ** (-d / 2.0) * np.exp(-0.5 * np.multiply.outer((w * zeta).sum(-1), inv))
+        total = 0.0
         for p in self.pieces:
-            shift = 0.0 + 0.0j
-            ranges = [range(b + 1) for b in p.beta]
-            for gamma in _cartesian(*ranges):
+            shift = 0.0
+            for gamma in _cartesian(*(range(b + 1) for b in p.beta)):
                 comb = math.prod(math.comb(b, c) for b, c in zip(p.beta, gamma))
-                imu = math.prod((1j * mu[ax]) ** (b - c)
+                imu = math.prod((1j * mu[..., ax, :]) ** (b - c)
                                 for ax, (b, c) in enumerate(zip(p.beta, gamma)))
-                shift += comb * imu * central_moment(gamma, sigma)
-            total += p.coeff.evaluate(x) * t ** p.tpow * shift
-        return (2.0 * np.pi) ** (-d) * base * total
+                shift = shift + comb * imu * central_moment(gamma, cov)
+            total = total + p.coeff.evaluate(x) * tl ** p.tpow * shift
+        out = np.zeros(zeta.shape[:-1] + t.shape, dtype=complex)
+        out[..., live] = (2.0 * np.pi) ** (-d) * base * total
+        return out if out.ndim else complex(out)
 
     def diagonal_value(self, x, t):
         """k(x; 0, t): the xi-integral collapses to plain Gaussian moments.

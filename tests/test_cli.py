@@ -54,6 +54,14 @@ def test_specfile_reality_enforced():
         load_operator_spec(doc)
 
 
+def test_specfile_non_real_metric_names_key_g():
+    doc = {"dim": 1,
+           "g": [{"i": 0, "j": 0, "freq": [0], "re": 1.0},
+                 {"i": 0, "j": 0, "freq": [1], "re": 0.3}]}  # 1 + 0.3 e^{ix}
+    with pytest.raises(SpecFileError, match="^key 'g': metric coefficients must be real"):
+        load_operator_spec(doc)
+
+
 def test_specfile_metric_symmetry_and_positivity():
     doc = {"dim": 2,
            "g": [{"i": 0, "j": 0, "freq": [0, 0], "re": 1.0},
@@ -178,6 +186,19 @@ def test_cli_causality_grid_parse(capsys):
 def test_cli_deform(capsys):
     code = main(["deform", "--op", COSINE, "--lambda", "2", "--hbar", "1", "0"])
     assert code == 0
+
+
+@pytest.mark.parametrize("name, lam, code", [
+    ("drift_shift", "0.3", 0),
+    ("flat_laplacian_2d", "0.7", 0),
+    ("drift_shift", "1e200", 2),
+    ("drift_shift", "1e-200", 2),
+], ids=["rounding_1d", "rounding_2d", "power_overflows", "power_underflows"])
+def test_cli_deform_lambda(name, lam, code, capsys):
+    op = os.path.join(corpus_dir(), name + ".json")
+    assert main(["deform", "--op", op, "--lambda", lam]) == code
+    if code == 2:
+        assert "normal float" in capsys.readouterr().err
 
 
 def test_cli_validate_subset_and_determinism(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Parabolic rescaling family, filtration bookkeeping, measure scaling."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,42 @@ def test_homogeneity_defect_two_term_rate():
         assert 0.4 <= b / a <= 0.6
 
 
+def test_homogeneity_defect_factorises_the_metric_twice(monkeypatch):
+    res = parametrix(operator_symbol(CORPUS["perturbed_metric"]), 2)
+    kern = CausalKernel.from_symbol(res.symbol.graded_piece(-2)) + \
+        CausalKernel.from_symbol(res.symbol.graded_piece(-3))
+    fam = ScaledFamily(kern, order=-2)
+    zg = np.array([[-2.0], [-0.7], [0.6], [1.9]])
+    tg = np.array([0.25, 0.8, 1.7])
+    lam = 2.0
+    # the per-point route, two scalar eval_zeta calls per sample, is the reference
+    expect = np.array([[lam ** -1 * kern.eval_zeta(0.4, z / lam, t / lam**2)
+                        - kern.top_pieces().eval_zeta(0.4, z, t) for t in tg] for z in zg])
+    calls = []
+    for name in ("eigvalsh", "inv"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _fn=fn, _name=name: calls.append(_name) or _fn(a))
+    field, sup = homogeneity_defect(fam, lam, 0.4, zg, tg, reference="model")
+    assert sorted(calls) == ["eigvalsh", "eigvalsh", "inv", "inv"]
+    assert field.shape == (4, 3) and sup == np.max(np.abs(field)) > 1e-3
+    assert np.max(np.abs(field - expect)) <= 1e-15 * sup
+
+
+def test_dilation_refuses_powers_outside_normal_floats():
+    fam = ScaledFamily(CausalKernel.from_symbol(lambda_power(FLAT1, -1)), order=-2)
+    for lam in (1e200, 1e-200, 1e103, 1e-103):
+        with pytest.raises(DomainError, match="normal float"):
+            measure_scaling_check(lam, 1)
+        with pytest.raises(DomainError, match="normal float"):
+            homogeneity_defect(fam, lam, 0.0, [[0.5]], [1.0])
+    assert measure_scaling_check(1e100, 1) == Fraction(1e100) ** 3
+
+
 def test_measure_scaling_examples():
+    # exact where a float product of the diagonal would round otherwise
+    assert measure_scaling_check(0.3, 1) == Fraction(0.3) ** 3
+    assert measure_scaling_check(0.7, 2) == Fraction(0.7) ** 4
     assert measure_scaling_check(2.0, 1) == 8.0
     assert measure_scaling_check(3.0, 2) == 81.0
     assert measure_scaling_check(1.0, 1) == 1.0

@@ -231,16 +231,13 @@ def test_diagonal_value_factorises_the_metric_once(monkeypatch):
 def test_batched_diagonal_value_keeps_form_checks():
     piece = [KernelPiece(CoefficientField.constant(1, 1.0), (0,), 0)]
     pts = grid_points(16, 1)
-    # 0.2 + cos x is negative near x = pi; the form is built without the floor check
-    indefinite = CoefficientField.constant(1, 0.2) + CoefficientField.real_cosine(1, (1,))
-    kern = CausalKernel(QuadraticForm([[indefinite]], check_positive=False), piece)
+    # the derivative of a metric is a form without the floor check: -0.3 sin x
+    indefinite = CORPUS["perturbed_metric"].metric.deriv(0)
+    kern = CausalKernel(indefinite, piece)
     with pytest.raises(ValueError, match="positive definite"):
         kern.diagonal_value(pts, 1.0)
-    # 1 + 0.3 e^{ix} has no mirrored amplitude, so it is not real-valued
-    nonreal = CoefficientField(1, {0: 1.0, 1: 0.3})
-    kern = CausalKernel(QuadraticForm([[nonreal]], check_positive=False), piece)
-    with pytest.raises(ValueError, match="non-real"):
-        kern.diagonal_value(pts, 1.0)
+    with pytest.raises(ValueError, match="positive definite"):
+        kern.eval_zeta(1.0, [0.5], 1.0)
 
 
 def test_variable_metric_2d_heat_coefficients():

@@ -137,6 +137,31 @@ def test_form_symmetry_enforced():
         QuadraticForm([[a, b], [c, a]])
 
 
+def test_form_stores_a_near_real_metric_exactly_real():
+    exact = CoefficientField.constant(2, 1.0) + CoefficientField.real_cosine(2, (1, 0), 0.4)
+    near = exact + CoefficientField.harmonic(2, (1, 0), 1e-13j)
+    off = CoefficientField.real_cosine(2, (0, 1), 0.2)
+    G = QuadraticForm([[near, off], [off, CoefficientField.constant(2, 1.0)]])
+    g = G.entries[0][0]
+    assert g.real_part("snapped") is g and (g - exact).norm_inf() <= 1e-13
+    pts = grid_points(8, 2)
+    for x in ((0.3, 1.1), pts):
+        m = G.matrix_at(x)
+        assert m.dtype == np.float64
+        assert np.array_equal(m, np.swapaxes(m, -1, -2))
+    assert G.matrix_at(pts).shape == (64, 2, 2)
+    # the derivative of an exactly real form is exactly real too
+    dg = G.deriv(0).entries[0][0]
+    assert dg.real_part("derivative") is dg
+
+
+def test_form_refuses_a_non_real_metric():
+    # 1 + 0.3 e^{ix} has no mirrored amplitude, so it is not real-valued
+    nonreal = CoefficientField(1, {0: 1.0, 1: 0.3})
+    with pytest.raises(ValueError, match="metric coefficients must be real-valued"):
+        QuadraticForm([[nonreal]])
+
+
 def test_form_positivity_floor():
     g = CoefficientField.constant(1, 1.0) + CoefficientField.real_cosine(1, (1,), 1.5)
     with pytest.raises(NotPositiveDefiniteError):

@@ -305,6 +305,29 @@ def test_causal_kernel_vanishes_for_negative_time():
     assert kern.eval_zeta(0.3, [0.7], -0.5) == 0.0
 
 
+def test_batched_eval_zeta_matches_scalar_calls():
+    res = parametrix(operator_symbol(perturbed_op()), 3)
+    kern = CausalKernel.from_symbol(res.symbol)
+    assert max(sum(p.beta) for p in kern.pieces) == 9
+    zetas = np.array([[-1.7], [0.0], [0.6], [2.3]])
+    ts = np.array([[0.05, 0.4, -0.3], [1.1, -2.0, 3.5]])
+    got = kern.eval_zeta(0.3, zetas, ts)
+    assert got.shape == (4, 2, 3)
+    for i, z in enumerate(zetas):
+        for j in np.ndindex(ts.shape):
+            one = kern.eval_zeta(0.3, z, ts[j])
+            assert isinstance(one, complex)
+            if ts[j] < 0:
+                assert one == 0.0 and got[(i,) + j] == 0.0
+            else:
+                assert abs(got[(i,) + j] - one) <= 1e-15 * abs(one)
+    assert kern.eval_zeta(0.3, zetas[2], ts).shape == ts.shape
+    with pytest.raises(DomainError):
+        kern.eval_zeta(0.3, zetas, np.array([0.5, 0.0]))
+    with pytest.raises(DomainError):
+        kern.eval_zeta(0.3, zetas[0], 0.0)
+
+
 def test_causal_kernel_rejects_nonintegrable():
     with pytest.raises(NonIntegrableError):
         CausalKernel.from_symbol(lambda_power(FLAT1, 1))
