@@ -7,8 +7,10 @@ pairing sum is evaluated by the Stein recursion
 
     E[xi_i * xi^gamma] = sum_j Sigma_ij * gamma_j * E[xi^(gamma - e_j)]
 
-with memoization, which stays polynomial in |beta|.  Sigma may carry
-trailing axes (shape (d, d, N)); the moment is then an array over them.
+with memoization, which stays polynomial in |beta|.  gaussian_moment takes
+one matrix.  central_moment's Sigma may carry trailing axes (shape
+(d, d, N)), as _gaussian_factors returns it for a stack of matrices; the
+moment is then an array over them.
 """
 
 from __future__ import annotations
@@ -72,20 +74,13 @@ def _gaussian_factors(form_matrix):
     return norm, (np.moveaxis(sigma, 0, -1) if g.ndim == 3 else sigma)
 
 
-def gaussian_moment(beta, form_matrix):
-    """int xi^beta exp(-<G xi, xi>) dxi for a positive definite matrix G.
-
-    A stack of matrices (shape (N, d, d)) gives one moment per matrix, from
-    one _gaussian_factors call: the Stein recursion only adds and multiplies,
-    so it runs once with each Sigma entry an array over the stack.
-    """
+def gaussian_moment(beta, form_matrix) -> float:
+    """int xi^beta exp(-<G xi, xi>) dxi for one positive definite d x d matrix G."""
     beta = tuple(int(b) for b in beta)
     g = np.atleast_2d(np.asarray(form_matrix, dtype=float))
-    if len(beta) != g.shape[-1]:
-        raise ValueError("shape mismatch between beta and form matrix")
+    if g.ndim != 2 or len(beta) != g.shape[-1]:
+        raise ValueError("need one form matrix, of side len(beta)")
     norm, sigma = _gaussian_factors(g)
     if sum(beta) % 2 == 1:
-        return np.zeros(len(g)) if g.ndim == 3 else 0.0
-    if g.ndim == 2:
-        return float(norm * central_moment(beta, sigma))
-    return norm * central_moment(beta, sigma)
+        return 0.0
+    return float(norm * central_moment(beta, sigma))

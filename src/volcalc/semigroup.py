@@ -585,9 +585,10 @@ def heat_diagonal(disc: DiscretizedOperator, times, n_x=128):
     coefficients (any other is refused with DomainError) and is
     eigen-decomposed in its real form R = U^H M U on the basis
     {1, sqrt2 cos<k,x>, sqrt2 sin<k,x>}, where the grid vectors w(x) = U^T v(x)
-    are real too and K(x, x) = (2*pi)^{-d} w^T exp(-tR) w.  A Hermitian M
-    gives a real symmetric R, which takes a real eigh; any other R takes a
-    real eig, whose eigenvalues come in conjugate pairs.
+    are real too and K(x, x) = (2*pi)^{-d} w^T exp(-tR) w.  R is tested,
+    not the stored is_hermitian flag: an exactly symmetric R (a Hermitian M)
+    takes a real eigh; any other R takes a real eig, whose eigenvalues come
+    in conjugate pairs.
     """
     times = np.asarray(times, dtype=float)
     d = disc.dim
@@ -604,7 +605,7 @@ def heat_diagonal(disc: DiscretizedOperator, times, n_x=128):
     V = np.hstack([np.ones((grid.shape[0], 1)),
                    np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)])
     out = np.empty((times.size, V.shape[0]))
-    if disc.is_hermitian:
+    if np.array_equal(A, A.T):
         w, U = np.linalg.eigh(A)
         W = (V @ U) ** 2
         for i, t in enumerate(times):

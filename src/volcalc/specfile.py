@@ -10,7 +10,8 @@ Schema:
     }
 
 g entries may be given for one triangle only (mirrored); when both (i, j)
-and (j, i) appear they must agree.  Finite amplitudes are enforced here;
+and (j, i) appear they must agree.  Finite amplitudes and integral dim,
+indices and frequencies are enforced here;
 reality (c_{-k} = conj(c_k) to 1e-12 relative, then stored exactly) is
 QuadraticForm's for the metric, together with its symmetry and positivity,
 and OperatorSpec's for the drift and potential.
@@ -40,10 +41,10 @@ def _field_from_entries(dim, entries, key):
             freq = tuple(int(f) for f in ent["freq"])
             re = float(ent.get("re", 0.0))
             im = float(ent.get("im", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecFileError(f"bad entry under key '{key}': {ent!r}") from exc
-        if len(freq) != dim:
-            raise SpecFileError(f"key '{key}': frequency {freq} has length != dim")
+        if freq != tuple(ent["freq"]) or len(freq) != dim:  # int() truncates 1.5
+            raise SpecFileError(f"key '{key}': frequency {ent['freq']!r} is not {dim} integers")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise SpecFileError(f"key '{key}': non-finite amplitude in {ent!r}")
         amp[freq] = amp.get(freq, 0.0) + complex(re, im)
@@ -67,9 +68,9 @@ def load_operator_spec(source) -> OperatorSpec:
 
     try:
         dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise SpecFileError("missing or bad key 'dim' (need 1 or 2)")
-    if dim not in (1, 2):
+    if dim not in (1, 2) or dim != doc["dim"]:
         raise SpecFileError("key 'dim' must be 1 or 2")
     name = str(doc.get("name", "operator"))
 
@@ -79,10 +80,11 @@ def load_operator_spec(source) -> OperatorSpec:
     for ent in doc["g"]:
         try:
             i, j = int(ent["i"]), int(ent["j"])
-        except (KeyError, TypeError, ValueError):
-            raise SpecFileError(f"bad metric entry: {ent!r}")
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise SpecFileError(f"metric indices ({i}, {j}) out of range")
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise SpecFileError(f"key 'g': bad metric entry {ent!r}")
+        if (i, j) != (ent["i"], ent["j"]) or not (0 <= i < dim and 0 <= j < dim):
+            raise SpecFileError(f"key 'g': metric indices ({ent['i']!r}, {ent['j']!r}) "
+                                f"are not integers in [0, {dim})")
         slots.setdefault((i, j), []).append(ent)
     fields = {}
     for (i, j), entries in slots.items():

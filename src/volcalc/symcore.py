@@ -128,24 +128,6 @@ class CoefficientField:
         return cls(dim, {(0,) * dim: value})
 
     @classmethod
-    def harmonic(cls, dim, freq, amplitude=1.0):
-        return cls(dim, {tuple(freq): amplitude})
-
-    @classmethod
-    def real_cosine(cls, dim, freq, amplitude=1.0):
-        """amplitude * cos(<freq, x>)."""
-        k = tuple(freq)
-        mk = tuple(-f for f in k)
-        return cls(dim, {k: amplitude / 2.0, mk: amplitude / 2.0})
-
-    @classmethod
-    def real_sine(cls, dim, freq, amplitude=1.0):
-        """amplitude * sin(<freq, x>)."""
-        k = tuple(freq)
-        mk = tuple(-f for f in k)
-        return cls(dim, {k: amplitude / 2.0j, mk: -amplitude / 2.0j})
-
-    @classmethod
     def from_grid(cls, values):
         """Project samples on the uniform grid x_j = 2*pi*j/n back to amplitudes."""
         values = np.asarray(values, dtype=complex)
@@ -351,14 +333,6 @@ class QuadraticForm:
             [CoefficientField.constant(dim, 1.0 if i == j else 0.0) for j in range(dim)]
             for i in range(dim)
         ]
-        return cls(ent)
-
-    @classmethod
-    def isotropic(cls, field: CoefficientField):
-        """diag(g(x), ..., g(x)) for a scalar coefficient g."""
-        d = field.dim
-        zero = CoefficientField.zero(d)
-        ent = [[field if i == j else zero for j in range(d)] for i in range(d)]
         return cls(ent)
 
     def __eq__(self, other):

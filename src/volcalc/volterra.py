@@ -29,7 +29,6 @@ from .symcore import (
     QuadraticForm,
     lambda_power,
     multi_indices,
-    xi_monomial,
 )
 
 __all__ = [
@@ -97,40 +96,6 @@ class OperatorSpec:
     @property
     def dim(self):
         return self.metric.dim
-
-    def apply_fd(self, func, x, h=1e-4):
-        """Apply A to a scalar callable by central finite differences.
-
-        Independent of the symbol algebra; used as an oracle.
-        """
-        d = self.dim
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        val = 0.0 + 0.0j
-        for i in range(d):
-            for j in range(d):
-                g = self.metric.entries[i][j].evaluate(x)
-                if g == 0:
-                    continue
-                if i == j:
-                    ei = np.zeros(d)
-                    ei[i] = h
-                    dd = (func(x + ei) - 2.0 * func(x) + func(x - ei)) / h**2
-                else:
-                    ei = np.zeros(d)
-                    ej = np.zeros(d)
-                    ei[i] = h
-                    ej[j] = h
-                    dd = (func(x + ei + ej) - func(x + ei - ej)
-                          - func(x - ei + ej) + func(x - ei - ej)) / (4.0 * h**2)
-                val -= g * dd
-        for j in range(d):
-            b = self.drift[j].evaluate(x)
-            if b != 0:
-                ej = np.zeros(d)
-                ej[j] = h
-                val += b * (func(x + ej) - func(x - ej)) / (2.0 * h)
-        val += self.potential.evaluate(x) * func(x)
-        return val
 
 
 def operator_symbol(op: OperatorSpec) -> ParabolicSymbol:
@@ -337,18 +302,6 @@ class CausalKernel:
         if self.form != other.form:
             raise ValueError("kernels over different forms")
         return CausalKernel(self.form, self.pieces + other.pieces)
-
-    def eval_xi(self, x, xi, t):
-        """Partial-transform value k~(x, xi, t); exactly 0 for t < 0."""
-        t = np.asarray(t, dtype=float)
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        a = self.form.value(x, xi)
-        out = np.zeros(t.shape, dtype=complex)
-        pos = t >= 0
-        for p in self.pieces:
-            out[pos] += (p.coeff.evaluate(x) * xi_monomial(xi, p.beta)
-                         * t[pos] ** p.tpow * np.exp(-t[pos] * a))
-        return out if out.ndim else complex(out)
 
     def eval_zeta(self, x, zeta, t):
         """Full (zeta, t) value at one point x, via the Gaussian xi-integral.

@@ -85,6 +85,39 @@ def test_specfile_mirror_fills_triangle():
     assert m[0, 1] == m[1, 0] == 0.25
 
 
+def _cosine_spec(**keys):
+    """V = cos x on the flat line, with `keys` replacing top-level keys."""
+    doc = {"dim": 1, "g": [{"i": 0, "j": 0, "freq": [0], "re": 1.0}],
+           "V": [{"freq": [1], "re": 0.5}, {"freq": [-1], "re": 0.5}]}
+    return {**doc, **keys}
+
+
+@pytest.mark.parametrize("keys, named", [
+    ({"V": [{"freq": [1.5], "re": 0.5}, {"freq": [-1.5], "re": 0.5}]}, "'V'"),
+    ({"dim": 1.9}, "'dim'"),
+    ({"dim": float("inf")}, "'dim'"),
+    ({"g": [{"i": 0.7, "j": 0, "freq": [0], "re": 1.0}]}, "'g'"),
+    ({"g": [{"i": 0, "j": 0, "freq": ["0"], "re": 1.0}]}, "'g[0][0]'"),
+], ids=["freq_1.5", "dim_1.9", "dim_inf", "index_0.7", "freq_string"])
+def test_specfile_refuses_non_integral_numbers(keys, named, tmp_path, capsys):
+    # int() would truncate 1.5 to 1 and parse "0": the value is refused instead
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(_cosine_spec(**keys)))
+    with pytest.raises(SpecFileError) as err:
+        load_operator_spec(str(path))
+    assert named in str(err.value)
+    assert main(["parametrix", "--op", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_specfile_accepts_integral_floats():
+    op = load_operator_spec(_cosine_spec(
+        dim=1.0, g=[{"i": 0.0, "j": 0, "freq": [0.0], "re": 1.0}],
+        V=[{"freq": [1.0], "re": 0.5}, {"freq": [-1], "re": 0.5}]))
+    ref = load_operator_spec(_cosine_spec())
+    assert op.dim == 1 and op.metric == ref.metric and op.potential == ref.potential
+
+
 # ---------------------------------------------------------------------------
 # report tables
 # ---------------------------------------------------------------------------

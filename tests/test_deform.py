@@ -12,7 +12,7 @@ from volcalc.deform import (
     rescale_symbol,
 )
 from volcalc.specfile import load_corpus
-from volcalc.symcore import CoefficientField, DomainError, QuadraticForm, lambda_power
+from volcalc.symcore import DomainError, QuadraticForm, lambda_power
 from volcalc.volterra import CausalKernel, min_extension_index, operator_symbol, parametrix
 
 CORPUS = load_corpus()
@@ -36,8 +36,6 @@ def test_filtration_bookkeeping():
 def test_rescale_symbol_examples():
     p = lambda_power(FLAT1, 1)
     assert rescale_symbol(p, 0.5).allclose(p.scale(0.25))
-    q = lambda_power(FLAT1, -1) + lambda_power(FLAT1, -2) * \
-        CoefficientField.real_cosine(1, (1,)).evaluate(0.0).real
     q2 = parametrix(operator_symbol(CORPUS["cosine_potential"]), 2).symbol
     assert rescale_symbol(q2, 0.0).allclose(lambda_power(FLAT1, -1))
     assert rescale_symbol(q2, 1.0).allclose(q2)

@@ -8,7 +8,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 
 from volcalc.heatexp import _heat_coefficients, heat_coefficients
-from volcalc.moments import central_moment, gaussian_moment
+from volcalc.moments import _gaussian_factors, central_moment, gaussian_moment
 from volcalc.specfile import load_corpus
 from volcalc.symcore import CoefficientField, DomainError, QuadraticForm, grid_points
 from volcalc.volterra import (
@@ -19,6 +19,8 @@ from volcalc.volterra import (
     parametrix,
 )
 
+from fields import cosine
+
 CORPUS = load_corpus()
 Q0 = (4.0 * np.pi) ** -0.5
 
@@ -26,11 +28,11 @@ Q0 = (4.0 * np.pi) ** -0.5
 def _metric_2d_operator():
     """g11 = 1 + 0.4 cos x1, g12 = 0.2 cos x2, g22 = 1, V = cos(x1 + x2)."""
     one = CoefficientField.constant(2, 1.0)
-    g11 = one + CoefficientField.real_cosine(2, (1, 0), 0.4)
-    g12 = CoefficientField.real_cosine(2, (0, 1), 0.2)
+    g11 = one + cosine(2, (1, 0), 0.4)
+    g12 = cosine(2, (0, 1), 0.2)
     zero = CoefficientField.zero(2)
     return OperatorSpec(QuadraticForm([[g11, g12], [g12, one]]), (zero, zero),
-                        CoefficientField.real_cosine(2, (1, 1)), "perturbed_metric_2d")
+                        cosine(2, (1, 1)), "perturbed_metric_2d")
 
 
 METRIC_2D = _metric_2d_operator()
@@ -83,22 +85,27 @@ def test_moment_rejects_bad_matrix():
 
 
 def test_stacked_moment_matches_per_matrix_calls():
+    # the stacked factors diagonal_value uses: Sigma of shape (d, d, N), one
+    # central_moment pass over the stack
     rng = np.random.default_rng(9)
     R = rng.standard_normal((6, 2, 2))
     G = R @ R.transpose(0, 2, 1) + 0.5 * np.eye(2)
+    norm, sigma = _gaussian_factors(G)
+    assert norm.shape == (6,) and sigma.shape == (2, 2, 6)
     for beta in ((0, 0), (2, 0), (1, 1), (4, 2), (3, 0)):
-        got = gaussian_moment(beta, G)
-        assert got.shape == (6,)
+        got = norm * central_moment(beta, sigma)
         expect = np.array([gaussian_moment(beta, g) for g in G])
         assert np.max(np.abs(got - expect)) <= 1e-15 * max(1.0, np.max(np.abs(expect)))
+    with pytest.raises(ValueError, match="one form matrix"):
+        gaussian_moment((0, 0), G)
     asym = G.copy()
     asym[3, 0, 1] += 0.1
     with pytest.raises(ValueError, match="symmetric"):
-        gaussian_moment((0, 0), asym)
+        _gaussian_factors(asym)
     indefinite = G.copy()
     indefinite[5] = [[1.0, 0.0], [0.0, -1.0]]
     with pytest.raises(ValueError, match="positive definite"):
-        gaussian_moment((1, 0), indefinite)
+        _gaussian_factors(indefinite)
 
 
 def test_central_moment_isserlis_pairing():
@@ -159,7 +166,7 @@ def test_constant_coefficient_exactness():
         got = he.coefficient(j).amplitudes.get((0,), 0.0)
         assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect)), j
     # scaled metric: q_0 = (4 pi)^{-1/2} det(g)^{-1/2}
-    g2 = QuadraticForm.isotropic(CoefficientField.constant(1, 2.0))
+    g2 = QuadraticForm([[CoefficientField.constant(1, 2.0)]])
     op2 = OperatorSpec(g2, (CoefficientField.zero(1),), CoefficientField.zero(1))
     he2 = heat_coefficients(op2, 0)
     assert abs(he2.coefficient(0).amplitudes[(0,)] - Q0 / np.sqrt(2.0)) < 1e-14
@@ -209,13 +216,15 @@ def test_batched_diagonal_value_matches_scalar_calls(op):
 def test_diagonal_value_factorises_the_metric_once(monkeypatch):
     kern = CausalKernel.from_symbol(parametrix(operator_symbol(METRIC_2D), 3).symbol)
     assert any(sum(p.beta) % 2 for p in kern.pieces)
-    pts = grid_points(16, 2)
+    pts = grid_points(8, 2)
     ts = np.array([0.5, 2.0])
-    # the per-piece route, one gaussian_moment call per piece, is the reference
+    # the per-point route, one gaussian_moment call per piece and point, is
+    # the reference
     g = METRIC_2D.metric.matrix_at(pts)
     expect = np.zeros((len(pts), 2), dtype=complex)
     for p in kern.pieces:
-        weight = p.coeff.evaluate(pts) * gaussian_moment(p.beta, g)
+        moments = np.array([gaussian_moment(p.beta, gx) for gx in g])
+        weight = p.coeff.evaluate(pts) * moments
         expect += np.multiply.outer(weight, ts ** (p.tpow - (2 + sum(p.beta)) / 2.0))
     expect *= (2.0 * np.pi) ** -2
     calls = []

@@ -27,6 +27,8 @@ from volcalc.specfile import load_corpus, load_operator_spec
 from volcalc.symcore import CoefficientField, DomainError, QuadraticForm
 from volcalc.volterra import OperatorSpec
 
+from fields import cosine, sine
+
 CORPUS = load_corpus()
 Q0 = (4.0 * np.pi) ** -0.5
 
@@ -64,13 +66,12 @@ def test_cosine_off_band_stencil():
 
 def test_discretize_2d_variable_coefficients_oracle():
     n = 4
-    cos = CoefficientField.real_cosine
-    g11 = CoefficientField.constant(2, 1.0) + cos(2, (1, 0), 0.4)
-    g12 = cos(2, (0, 1), 0.2)
+    g11 = CoefficientField.constant(2, 1.0) + cosine(2, (1, 0), 0.4)
+    g12 = cosine(2, (0, 1), 0.2)
     g22 = CoefficientField.constant(2, 1.0)
     zero = CoefficientField.zero(2)
     op = OperatorSpec(QuadraticForm([[g11, g12], [g12, g22]]), (zero, zero),
-                      cos(2, (1, 1)), "variable_2d")
+                      cosine(2, (1, 1)), "variable_2d")
     disc = discretize(op, n)
     assert disc.freqs.dtype.kind == "i"
     assert disc.freqs.shape == (81, 2)
@@ -93,7 +94,7 @@ def test_discretize_minimum_cutoff():
 
 def test_discretize_refuses_oversized_dense_matrix():
     # the log ladder's t_min asks for n = 640, a (2n+1)^2-mode dense matrix
-    g11 = CoefficientField.constant(2, 1.0) + CoefficientField.real_cosine(2, (1, 0), 0.4)
+    g11 = CoefficientField.constant(2, 1.0) + cosine(2, (1, 0), 0.4)
     one, zero = CoefficientField.constant(2, 1.0), CoefficientField.zero(2)
     op = OperatorSpec(QuadraticForm([[g11, zero], [zero, one]]), (zero, zero), zero,
                       "variable_metric_2d")
@@ -253,10 +254,9 @@ def test_dunford_refuses_a_matrix_hermitian_only_up_to_rounding():
 
 def test_dunford_hermitian_2d_variable_potential():
     # cos(x1 + x2) + sin(x2): complex Hermitian, so T has complex off-diagonals
-    sine = CoefficientField(2, {(0, 1): -0.5j, (0, -1): 0.5j})
     zero = CoefficientField.zero(2)
     op = OperatorSpec(QuadraticForm.flat(2), (zero, zero),
-                      CoefficientField.real_cosine(2, (1, 1)) + sine, "potential_2d")
+                      cosine(2, (1, 1)) + sine(2, (0, 1)), "potential_2d")
     disc = discretize(op, 4)
     assert disc.size == 81 and np.array_equal(disc.matrix, disc.matrix.conj().T)
     assert np.any(disc.matrix.imag != 0)
@@ -472,7 +472,7 @@ def test_dunford_node_on_the_spectrum_raises():
 
 def _potential_ops():
     flat, zero = QuadraticForm.flat(1), CoefficientField.zero(1)
-    cos = lambda a: CoefficientField.real_cosine(1, (1,), a)  # noqa: E731
+    cos = lambda a: cosine(1, (1,), a)  # noqa: E731
     return {
         # V = -3 cos x: Hermitian, least eigenvalue -1.84
         "hermitian": OperatorSpec(flat, (zero,), cos(-3.0)),
@@ -639,30 +639,22 @@ def test_heat_diagonal_matches_theta_series():
         assert abs(diag[i, 0] - theta) < 1e-12
 
 
-def _sine(dim, freq, amplitude=1.0):
-    """amplitude * sin(<freq, x>)."""
-    k = tuple(freq)
-    return CoefficientField(dim, {k: -0.5j * amplitude,
-                                  tuple(-f for f in k): 0.5j * amplitude})
-
-
 def _real_coefficient_op(name):
     """Real-coefficient operators; the sine terms make the cos/sin blocks couple."""
-    cos = CoefficientField.real_cosine
     one1, one2 = CoefficientField.constant(1, 1.0), CoefficientField.constant(2, 1.0)
     zero1, zero2 = CoefficientField.zero(1), CoefficientField.zero(2)
     if name == "hermitian_1d":
         return OperatorSpec(QuadraticForm.flat(1), (zero1,),
-                            cos(1, (1,)) + _sine(1, (2,), 0.5), name)
+                            cosine(1, (1,)) + sine(1, (2,), 0.5), name)
     if name == "drift_metric_1d":
-        return OperatorSpec(QuadraticForm([[one1 + cos(1, (1,), 0.3)]]),
-                            (_sine(1, (1,), 0.4),), cos(1, (1,)) + _sine(1, (2,), 0.5), name)
+        return OperatorSpec(QuadraticForm([[one1 + cosine(1, (1,), 0.3)]]),
+                            (sine(1, (1,), 0.4),), cosine(1, (1,)) + sine(1, (2,), 0.5), name)
     if name == "hermitian_2d":
         return OperatorSpec(QuadraticForm.flat(2), (zero2, zero2),
-                            cos(2, (1, 1)) + _sine(2, (0, 1), 0.5), name)
-    g11, g12 = one2 + cos(2, (1, 0), 0.4), cos(2, (0, 1), 0.2)  # metric_2d
+                            cosine(2, (1, 1)) + sine(2, (0, 1), 0.5), name)
+    g11, g12 = one2 + cosine(2, (1, 0), 0.4), cosine(2, (0, 1), 0.2)  # metric_2d
     return OperatorSpec(QuadraticForm([[g11, g12], [g12, one2]]), (zero2, zero2),
-                        cos(2, (1, 1)) + _sine(2, (1, 0), 0.3), name)
+                        cosine(2, (1, 1)) + sine(2, (1, 0), 0.3), name)
 
 
 DENSE_HEAT_CASES = {  # name: (mode cutoff, grid points per axis, Hermitian)
@@ -714,6 +706,17 @@ def test_heat_diagonal_refuses_a_matrix_without_mirror_symmetry():
     disc = semigroup.DiscretizedOperator(base.n, 1, base.freqs, True, _matrix=M)
     with pytest.raises(DomainError, match="mirror-symmetric"):
         heat_diagonal(disc, DENSE_HEAT_TIMES, n_x=8)
+
+
+def test_heat_diagonal_tests_symmetry_not_the_stored_flag():
+    # drift_shift's dense matrix (the drift 2 d/dx) is not Hermitian; flagged
+    # Hermitian by hand, it must still not take the symmetric eigensolver
+    base = discretize(CORPUS["drift_shift"], 12)
+    disc = semigroup.DiscretizedOperator(base.n, 1, base.freqs, True, _matrix=base.matrix)
+    times = [0.1, 0.3]
+    ref, _ = heat_diagonal(base, times, n_x=8)  # constant coefficients: the diagonal path
+    diag, _ = heat_diagonal(disc, times, n_x=8)
+    assert np.max(np.abs(diag - ref) / np.abs(ref)) <= 1e-12
 
 
 def _near_real_drift_doc(eps):

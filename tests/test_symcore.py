@@ -18,13 +18,15 @@ from volcalc.symcore import (
     lambda_power,
 )
 
+from fields import cosine, harmonic, sine
+
 FLAT1 = QuadraticForm.flat(1)
 FLAT2 = QuadraticForm.flat(2)
 
 
 def perturbed_form():
-    g = CoefficientField.constant(1, 1.0) + CoefficientField.real_cosine(1, (1,), 0.5)
-    return QuadraticForm.isotropic(g)
+    g = CoefficientField.constant(1, 1.0) + cosine(1, (1,), 0.5)
+    return QuadraticForm([[g]])
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +35,7 @@ def perturbed_form():
 
 
 def test_field_arithmetic_and_reality():
-    f = CoefficientField.real_cosine(1, (1,)) + CoefficientField.constant(1, 2.0)
+    f = cosine(1, (1,)) + CoefficientField.constant(1, 2.0)
     assert f.real_part("f") is f  # exactly real: no new field
     xs = np.linspace(0, 2 * np.pi, 9)
     vals = f.evaluate(xs)
@@ -45,7 +47,7 @@ def test_field_arithmetic_and_reality():
     assert amp[(1,)] == np.conj(amp[(-1,)]) and amp[(0,)] == 2.0
     assert snapped.real_part("snapped") is snapped
     assert (snapped - near).norm_inf() <= 1e-12
-    g = CoefficientField.harmonic(1, (1,), 1.0)  # e^{ix}: not real-valued
+    g = harmonic(1, (1,), 1.0)  # e^{ix}: not real-valued
     with pytest.raises(ValueError, match="g must be real-valued"):
         g.real_part("g")
     prod = f * g
@@ -53,7 +55,7 @@ def test_field_arithmetic_and_reality():
 
 
 def test_field_derivative_and_periodicity():
-    f = CoefficientField.real_sine(1, (3,), 2.0)
+    f = sine(1, (3,), 2.0)
     df = f.deriv(0)
     xs = np.linspace(0, 2 * np.pi, 11)
     assert np.allclose(df.evaluate(xs), 6.0 * np.cos(3 * xs))
@@ -72,7 +74,7 @@ def test_field_grid_round_trip():
 
 def test_field_cancellation_trims_the_box():
     one = CoefficientField.constant(1, 1.0)
-    cos3 = CoefficientField.real_cosine(1, (3,))
+    cos3 = cosine(1, (3,))
     f = (cos3 + one) + (-cos3)
     assert f == one
     assert f.max_freq() == 0
@@ -138,9 +140,9 @@ def test_form_symmetry_enforced():
 
 
 def test_form_stores_a_near_real_metric_exactly_real():
-    exact = CoefficientField.constant(2, 1.0) + CoefficientField.real_cosine(2, (1, 0), 0.4)
-    near = exact + CoefficientField.harmonic(2, (1, 0), 1e-13j)
-    off = CoefficientField.real_cosine(2, (0, 1), 0.2)
+    exact = CoefficientField.constant(2, 1.0) + cosine(2, (1, 0), 0.4)
+    near = exact + harmonic(2, (1, 0), 1e-13j)
+    off = cosine(2, (0, 1), 0.2)
     G = QuadraticForm([[near, off], [off, CoefficientField.constant(2, 1.0)]])
     g = G.entries[0][0]
     assert g.real_part("snapped") is g and (g - exact).norm_inf() <= 1e-13
@@ -163,9 +165,9 @@ def test_form_refuses_a_non_real_metric():
 
 
 def test_form_positivity_floor():
-    g = CoefficientField.constant(1, 1.0) + CoefficientField.real_cosine(1, (1,), 1.5)
+    g = CoefficientField.constant(1, 1.0) + cosine(1, (1,), 1.5)
     with pytest.raises(NotPositiveDefiniteError):
-        QuadraticForm.isotropic(g)
+        QuadraticForm([[g]])
 
 
 def test_form_value_and_derivative():
@@ -203,9 +205,9 @@ def test_dilate_homogeneous_examples():
 def test_dilate_three_term_numeric():
     # dilate-then-eval equals the graded-piece sum with lambda powers
     q = ParabolicSymbol(FLAT1, {
-        ((0,), -1): CoefficientField.real_cosine(1, (1,)),
+        ((0,), -1): cosine(1, (1,)),
         ((1,), -1): CoefficientField.constant(1, 0.75),
-        ((0,), -2): CoefficientField.real_sine(1, (2,), 0.5),
+        ((0,), -2): sine(1, (2,), 0.5),
     })
     lam = 1.7
     x, xi, tau = 0.3, 1.1, -0.8 - 0.5j
@@ -218,7 +220,7 @@ def test_dilate_identity_random_points():
     rng = np.random.default_rng(11)
     q = ParabolicSymbol(perturbed_form(), {
         ((0,), -1): CoefficientField.constant(1, 1.0),
-        ((2,), -2): CoefficientField.real_cosine(1, (1,), 0.3),
+        ((2,), -2): cosine(1, (1,), 0.3),
     })
     for lam in (0.5, 2.0, 1.7):
         for _ in range(20):
@@ -273,7 +275,7 @@ def test_mul_cancellation_to_constant():
 
 
 def test_mul_matches_pointwise_square():
-    q = ParabolicSymbol(FLAT1, {((0,), -1): CoefficientField.real_cosine(1, (1,))})
+    q = ParabolicSymbol(FLAT1, {((0,), -1): cosine(1, (1,))})
     sq = q * q
     x, xi, tau = 0.9, 1.2, -0.7 - 0.3j
     a = sq.evaluate(x, [xi], tau)
@@ -326,12 +328,12 @@ def test_deriv_xi_of_quadratic():
 def test_deriv_x_perturbed_metric_closed_form():
     # d/dx [cos x * Lambda^-1] = -sin x Lambda^-1 + cos x (1/2 sin x) xi^2 Lambda^-2
     G = perturbed_form()
-    q = ParabolicSymbol(G, {((0,), -1): CoefficientField.real_cosine(1, (1,))})
+    q = ParabolicSymbol(G, {((0,), -1): cosine(1, (1,))})
     dq = q.deriv(("x", 0))
     expect = ParabolicSymbol(G, {
-        ((0,), -1): CoefficientField.real_sine(1, (1,), -1.0),
-        ((2,), -2): CoefficientField.real_cosine(1, (1,)) *
-                    CoefficientField.real_sine(1, (1,), 0.5),
+        ((0,), -1): sine(1, (1,), -1.0),
+        ((2,), -2): cosine(1, (1,)) *
+                    sine(1, (1,), 0.5),
     })
     assert dq.allclose(expect)
     # finite-difference oracle at a fixed probe point
@@ -345,7 +347,7 @@ def test_deriv_x_perturbed_metric_closed_form():
 def test_deriv_finite_difference_all_kinds(var):
     G = perturbed_form()
     q = ParabolicSymbol(G, {
-        ((1,), -1): CoefficientField.real_cosine(1, (1,), 0.8),
+        ((1,), -1): cosine(1, (1,), 0.8),
         ((0,), -2): CoefficientField.constant(1, 1.0),
     })
     dq = q.deriv(var)
@@ -369,7 +371,7 @@ def test_deriv_finite_difference_all_kinds(var):
 
 def test_deriv_degree_shifts():
     G = perturbed_form()
-    q = ParabolicSymbol(G, {((1,), -2): CoefficientField.real_cosine(1, (1,))})
+    q = ParabolicSymbol(G, {((1,), -2): cosine(1, (1,))})
     assert q.deriv(("xi", 0)).order == q.order - 1
     assert q.deriv(("x", 0)).order == q.order
     for var in ("tau", ("y", 0)):
@@ -400,7 +402,7 @@ def test_eval_pole_raises():
 
 def test_eval_tau_grid_matches_scalar():
     q = ParabolicSymbol(FLAT1, {
-        ((1,), -1): CoefficientField.real_cosine(1, (1,)),
+        ((1,), -1): cosine(1, (1,)),
         ((0,), -2): CoefficientField.constant(1, 0.5),
     })
     taus = np.linspace(-30, 30, 7)
@@ -426,11 +428,11 @@ def _mixed_powers(form):
     two = tuple(2 * b for b in e[0])
     return ParabolicSymbol(form, {
         ((0,) * d, 2): CoefficientField.constant(d, 0.25),
-        (e[-1], 0): CoefficientField.real_cosine(d, e[0], -0.8),
+        (e[-1], 0): cosine(d, e[0], -0.8),
         ((0,) * d, 0): CoefficientField.constant(d, 1.5),
-        (e[0], -1): CoefficientField.real_sine(d, e[-1], 0.7),
+        (e[0], -1): sine(d, e[-1], 0.7),
         (two, -2): CoefficientField.constant(d, -1.3),
-        ((0,) * d, -2): CoefficientField.real_cosine(d, e[0], 0.4),
+        ((0,) * d, -2): cosine(d, e[0], 0.4),
         (e[-1], -4): CoefficientField.constant(d, 2.0),
     })
 
@@ -495,7 +497,7 @@ def test_aniso_norm_bound_on_shell():
     rng = np.random.default_rng(23)
     q = ParabolicSymbol(FLAT2, {
         ((1, 1), -1): CoefficientField.constant(2, 0.7),
-        ((0, 0), -1): CoefficientField.real_cosine(2, (1, 0), 0.4),
+        ((0, 0), -1): cosine(2, (1, 0), 0.4),
     })
 
     def shell_samples(n):

@@ -31,6 +31,8 @@ from volcalc.volterra import (
     sharp_product,
 )
 
+from fields import cosine, harmonic, sine
+
 FLAT1 = QuadraticForm.flat(1)
 CORPUS = load_corpus()
 
@@ -62,7 +64,7 @@ def test_operator_symbol_potential_pieces():
     p = operator_symbol(cos_potential_op())
     assert p.graded_piece(2).allclose(lambda_power(FLAT1, 1))
     assert p.graded_piece(0).allclose(
-        ParabolicSymbol(FLAT1, {((0,), 0): CoefficientField.real_cosine(1, (1,))}))
+        ParabolicSymbol(FLAT1, {((0,), 0): cosine(1, (1,))}))
 
 
 def test_operator_symbol_plane_wave_oracle():
@@ -77,26 +79,22 @@ def test_operator_symbol_plane_wave_oracle():
                       for row in range(disc.size))
         expect = a_sym.evaluate(x0, [float(k)], 0.0) * np.exp(1j * k * x0)
         assert abs(applied - expect) <= 1e-10 * max(1.0, abs(expect))
-    # coarse finite-difference cross-check of the same value
-    fd = op.apply_fd(lambda x: np.exp(1j * 3.0 * x[0]), [x0], h=1e-4)
-    expect = a_sym.evaluate(x0, [3.0], 0.0) * np.exp(1j * 3.0 * x0)
-    assert abs(fd - expect) <= 1e-5 * abs(expect)
 
 
 def test_operator_spec_rejects_complex_coefficients():
     with pytest.raises(ValueError, match="real"):
         OperatorSpec(FLAT1, (CoefficientField.zero(1),),
-                     CoefficientField.harmonic(1, (1,), 1.0))
+                     harmonic(1, (1,), 1.0))
 
 
 def test_operator_spec_stores_coefficients_exactly_real():
-    exact = CoefficientField.constant(1, 1.0) + CoefficientField.real_cosine(1, (1,), 0.25)
-    drift = CoefficientField.real_sine(1, (1,), 0.5)
+    exact = CoefficientField.constant(1, 1.0) + cosine(1, (1,), 0.25)
+    drift = sine(1, (1,), 0.5)
     form = QuadraticForm([[exact]])
     op = OperatorSpec(form, (drift,), exact)
     # exact inputs are kept as they are: no new field, no new form
     assert op.metric is form and op.drift[0] is drift and op.potential is exact
-    near = exact + CoefficientField.harmonic(1, (1,), 1e-13j)
+    near = exact + harmonic(1, (1,), 1e-13j)
     op = OperatorSpec(QuadraticForm([[near]]), (drift,), near)
     for field in (op.metric.entries[0][0], op.potential):
         assert field.real_part("snapped") is field
@@ -118,11 +116,11 @@ def test_sharp_xi_against_phase_oracle():
     # (-i d/dx) o (mult by e^{ix}) on e^{ix eta} gives e^{ix(eta+1)} (eta+1),
     # whose left symbol is e^{ix} (xi + 1)
     qa = ParabolicSymbol(FLAT1, {((1,), 0): CoefficientField.constant(1, 1.0)})
-    qb = ParabolicSymbol(FLAT1, {((0,), 0): CoefficientField.harmonic(1, (1,))})
+    qb = ParabolicSymbol(FLAT1, {((0,), 0): harmonic(1, (1,))})
     got = sharp_product(qa, qb, 5)
     expect = ParabolicSymbol(FLAT1, {
-        ((1,), 0): CoefficientField.harmonic(1, (1,)),
-        ((0,), 0): CoefficientField.harmonic(1, (1,)),
+        ((1,), 0): harmonic(1, (1,)),
+        ((0,), 0): harmonic(1, (1,)),
     })
     assert got.allclose(expect)
 
@@ -132,7 +130,7 @@ def test_sharp_heat_symbol_with_resolvent():
     got = sharp_exact(p, lambda_power(FLAT1, -1))
     expect = ParabolicSymbol(FLAT1, {
         ((0,), 0): CoefficientField.constant(1, 1.0),
-        ((0,), -1): CoefficientField.real_cosine(1, (1,)),
+        ((0,), -1): cosine(1, (1,)),
     })
     assert got.allclose(expect)
 
@@ -169,7 +167,7 @@ def test_parametrix_potential_pieces():
     q = res.symbol
     assert q.graded_piece(-2).allclose(lambda_power(FLAT1, -1))
     assert q.graded_piece(-3).is_zero()
-    V = CoefficientField.real_cosine(1, (1,))
+    V = cosine(1, (1,))
     expect_m4 = ParabolicSymbol(FLAT1, {((0,), -2): V.scale(-1.0)})
     assert q.graded_piece(-4).allclose(expect_m4)
 
@@ -254,13 +252,19 @@ def test_regularized_kernel_formula_against_quadrature():
 
 
 def test_causal_kernel_closed_forms():
-    lam_inv = lambda_power(FLAT1, -1)
-    k1 = CausalKernel.from_symbol(lam_inv)
-    ts = np.array([0.2, 1.0, 3.0])
-    a = 1.44  # |xi|^2 at xi = 1.2
-    assert np.allclose(k1.eval_xi(0.0, [1.2], ts), np.exp(-ts * a), rtol=1e-12)
-    k2 = CausalKernel.from_symbol(lambda_power(FLAT1, -2))
-    assert np.allclose(k2.eval_xi(0.0, [1.2], ts), ts * np.exp(-ts * a), rtol=1e-12)
+    # xi^beta Lambda^-n on the line: k(zeta, t) = t^(n-1)/(n-1)! (2 pi)^-1 g m_beta
+    # with g = sqrt(pi/t) e^{-zeta^2/4t} and m_beta = 1, i zeta/2t,
+    # 1/2t - zeta^2/4t^2.  The sign of m_1 pins the convention e^{+i<zeta,xi>}.
+    zeta = np.array([[-1.3], [-0.4], [0.0], [0.7], [2.1]])
+    t = np.array([0.2, 0.9, 2.5])
+    g = np.sqrt(np.pi / t) * np.exp(-zeta**2 / (4 * t))
+    moments = (1.0, 1j * zeta / (2 * t), 1 / (2 * t) - zeta**2 / (4 * t**2))
+    for n in (1, 2, 3):
+        for beta, m in enumerate(moments):
+            q = ParabolicSymbol(FLAT1, {((beta,), -n): CoefficientField.constant(1, 1.0)})
+            expect = t ** (n - 1) / math.factorial(n - 1) * g * m / (2 * np.pi)
+            got = CausalKernel.from_symbol(q).eval_zeta(0.3, zeta, t)
+            assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 def test_causal_kernel_oracle_qawf():
@@ -274,7 +278,9 @@ def test_causal_kernel_oracle_qawf():
             cosr = quad(qr, 0, np.inf, weight="cos", wvar=t)[0]
             sinr = quad(qi, 0, np.inf, weight="sin", wvar=t)[0]
             oracle = (cosr - sinr) / np.pi
-            got = kern.eval_xi(0.0, [np.sqrt(a)], np.array([t]))[0].real
+            # at G(xi, xi) = a the pieces give c t^p e^{-ta}
+            got = sum(p.coeff.evaluate(0.0) * t**p.tpow * np.exp(-t * a)
+                      for p in kern.pieces).real
             assert abs(got - oracle) <= 1e-8 * max(1.0, abs(oracle))
 
 
@@ -301,7 +307,6 @@ def test_causal_kernel_fft_agreement_on_causality_grid():
 def test_causal_kernel_vanishes_for_negative_time():
     res = parametrix(operator_symbol(cos_potential_op()), 3)
     kern = CausalKernel.from_symbol(res.symbol.graded_piece(-4))
-    assert kern.eval_xi(0.3, [1.0], np.array([-0.5]))[0] == 0.0
     assert kern.eval_zeta(0.3, [0.7], -0.5) == 0.0
 
 
