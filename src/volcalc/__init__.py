@@ -40,14 +40,12 @@ from .symcore import (
     ParabolicSymbol,
     QuadraticForm,
     SingularityError,
-    SymbolTerm,
     lambda_power,
 )
 from .validate import run_acceptance
 from .volterra import (
     CausalKernel,
     CausalityGrid,
-    KernelPiece,
     NonIntegrableError,
     OperatorSpec,
     ParametrixResult,

@@ -60,20 +60,27 @@ def _load(path):
         raise _InputError(str(exc))
 
 
+def _write(table: ReportTable, out_path):
+    """Write --out; an unwritable path is an input error, not a failed check."""
+    try:
+        table.write(out_path)
+    except OSError as exc:
+        raise _InputError(f"cannot write {out_path}: {exc.strerror or exc}")
+    print(f"wrote {out_path}")
+
+
 def _emit(table: ReportTable, out_path):
     print(table.format_text())
     if out_path:
-        table.write(out_path)
-        print(f"wrote {out_path}")
+        _write(table, out_path)
     return EXIT_OK if table.all_passed else EXIT_CHECK_FAILED
 
 
 def _symbol_summary(table, label, q):
     for s in q.degrees():
-        piece = q.graded_piece(s)
-        terms = piece.terms()
-        desc = "; ".join(f"beta={t.beta} lpow={t.lpow} |c|={t.coeff.norm_inf():.4g}"
-                         for t in terms[:4])
+        terms = list(q.graded_piece(s).term_map().items())
+        desc = "; ".join(f"beta={beta} lpow={lpow} |c|={c.norm_inf():.4g}"
+                         for (beta, lpow), c in terms[:4])
         if len(terms) > 4:
             desc += f"; ... ({len(terms)} terms)"
         table.add(f"{label} degree {s}", symbolic=desc, passed=True)
@@ -242,8 +249,7 @@ def cmd_validate(args):
     for line in lines:
         print(line)
     if args.out:
-        table.write(args.out)
-        print(f"wrote {args.out}")
+        _write(table, args.out)
     return EXIT_OK if table.all_passed else EXIT_CHECK_FAILED
 
 

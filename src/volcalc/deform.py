@@ -39,7 +39,7 @@ def rescale_symbol(q: ParabolicSymbol, hbar) -> ParabolicSymbol:
 
 class ScaledFamily:
     """A causal kernel and the order m of its family; the hbar = 0 (model)
-    member is its top-degree piece."""
+    member is the kernel of its symbol's principal part."""
 
     def __init__(self, base: CausalKernel, order):
         self.base = base
@@ -68,7 +68,8 @@ def homogeneity_defect(family: ScaledFamily, lam, x, zeta_grid, t_grid,
     definition cancels against the Jacobian of the change of variables.
     reference="self" compares against the base kernel (defect vanishes
     identically for strictly homogeneous kernels and at lam = 1);
-    reference="model" compares against the hbar = 0 member, under which the
+    reference="model" compares against the hbar = 0 member (the kernel of
+    the symbol's principal part, as in rescale_symbol), under which the
     piece j orders below the top contributes exactly lam^-j, giving the
     lam^-1 decay rate for two-term parametrix families.  Each side is one
     eval_zeta call over the whole grid.
@@ -80,9 +81,10 @@ def homogeneity_defect(family: ScaledFamily, lam, x, zeta_grid, t_grid,
         raise TypeError("homogeneity_defect operates on kernel families")
     if reference not in ("self", "model"):
         raise DomainError(f"unknown reference {reference!r}")
-    d = base.dim
+    d = base.symbol.dim
     lam = _dilation(lam, d)
-    ref = base if reference == "self" else base.top_pieces()
+    ref = base if reference == "self" else \
+        CausalKernel.from_symbol(base.symbol.principal_part())
     zeta_grid = np.atleast_2d(np.asarray(zeta_grid, dtype=float))
     t_grid = np.asarray(t_grid, dtype=float).ravel()
     pushed = lam ** (-family.order - d - 2) * base.eval_zeta(x, zeta_grid / lam, t_grid / lam**2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .moments import gaussian_moment
 from .symcore import CoefficientField, DomainError, grid_points
-from .volterra import CausalKernel, OperatorSpec, operator_symbol, parametrix
+from .volterra import CausalKernel, OperatorSpec, _kernel_terms, operator_symbol, parametrix
 
 __all__ = ["HeatCoefficient", "HeatExpansion", "heat_coefficients"]
 
@@ -92,9 +92,9 @@ def _heat_coefficients(op, max_index, grid_n=_GRID_N):
             qj = CoefficientField.zero(d)
         elif constant_metric:
             qj = CoefficientField.zero(d)
-            for kp in CausalKernel.from_symbol(piece).pieces:
-                factor = (2.0 * np.pi) ** (-d) * gaussian_moment(kp.beta, g0)
-                qj = qj + kp.coeff.scale(factor)
+            for beta, _, coeff in _kernel_terms(piece):  # the kernel at t = 1
+                factor = (2.0 * np.pi) ** (-d) * gaussian_moment(beta, g0)
+                qj = qj + coeff.scale(factor)
         else:
             vals = CausalKernel.from_symbol(piece).diagonal_value(points, 1.0)
             samples[j] = vals.reshape((grid_n,) * d)

@@ -74,6 +74,13 @@ _LADDER_EXTRA = 6
 _LADDER_RESOLVE = 36.0
 
 
+def _require_dense(size):
+    """DomainError unless a dense size x size matrix is within MAX_DENSE_MODES."""
+    if size > MAX_DENSE_MODES:
+        raise DomainError(f"{size} Galerkin modes need a dense {size} x {size} matrix; "
+                          f"at most {MAX_DENSE_MODES} modes are supported")
+
+
 @dataclass
 class DiscretizedOperator:
     """Fourier-Galerkin matrix of A on span{exp(i<k,x>) : |k_i| <= n}.
@@ -129,10 +136,7 @@ class DiscretizedOperator:
     @property
     def matrix(self):
         if self._matrix is None:
-            if self.size > MAX_DENSE_MODES:
-                raise MemoryError(
-                    f"dense matrix of size {self.size} not materialized; "
-                    "use the diagonal")
+            _require_dense(self.size)
             self._matrix = np.diag(self.diagonal).astype(complex)
         return self._matrix
 
@@ -165,18 +169,13 @@ def discretize(op: OperatorSpec, n: int) -> DiscretizedOperator:
              for i in range(d) for j in range(d)]
     terms += [(op.drift[j], 1j * k[:, j]) for j in range(d)]
     terms.append((op.potential, np.ones(size)))
-    constant = all(f.max_freq() == 0 for f, _ in terms)
-    if not constant and size > MAX_DENSE_MODES:
-        raise DomainError(
-            f"mode cutoff {n} needs a dense Galerkin matrix of {size} modes; "
-            f"at most {MAX_DENSE_MODES} are supported")
-
-    if constant:
+    if all(f.max_freq() == 0 for f, _ in terms):
         diag = sum(f.amplitudes.get((0,) * d, 0.0) * weight for f, weight in terms)
         # exactly real coefficients: the imaginary part is the drift term alone
         return DiscretizedOperator(n, d, freqs, not np.any(diag.imag), diagonal=diag,
                                    name=op.name)
 
+    _require_dense(size)
     M = np.zeros((size, size), dtype=complex)
     for f, weight in terms:
         for r, c in f.amplitudes.items():
@@ -331,8 +330,7 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
 
 def _diagonal_heat(diag, lams, coefs):
     """The contour sum for D = diag(diag) over one ray: Hermitian if real, else mirrored."""
-    if diag.size > MAX_DENSE_MODES:
-        raise MemoryError(f"dense matrix of size {diag.size} not materialized")
+    _require_dense(diag.size)
     mirrored = np.any(diag.imag)
     if mirrored:
         _require_mirror_symmetric(diag)

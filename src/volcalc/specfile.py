@@ -11,7 +11,8 @@ Schema:
 
 g entries may be given for one triangle only (mirrored); when both (i, j)
 and (j, i) appear they must agree.  Finite amplitudes and integral dim,
-indices and frequencies are enforced here;
+indices and frequencies are enforced here, and JSON booleans are refused
+wherever a number is expected (true == 1 in Python);
 reality (c_{-k} = conj(c_k) to 1e-12 relative, then stored exactly) is
 QuadraticForm's for the metric, together with its symmetry and positivity,
 and OperatorSpec's for the drift and potential.
@@ -43,12 +44,18 @@ def _field_from_entries(dim, entries, key):
             im = float(ent.get("im", 0.0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecFileError(f"bad entry under key '{key}': {ent!r}") from exc
+        if _has_bool(*ent["freq"], ent.get("re"), ent.get("im")):
+            raise SpecFileError(f"key '{key}': boolean where a number is expected in {ent!r}")
         if freq != tuple(ent["freq"]) or len(freq) != dim:  # int() truncates 1.5
             raise SpecFileError(f"key '{key}': frequency {ent['freq']!r} is not {dim} integers")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise SpecFileError(f"key '{key}': non-finite amplitude in {ent!r}")
         amp[freq] = amp.get(freq, 0.0) + complex(re, im)
     return CoefficientField(dim, amp)
+
+
+def _has_bool(*values):
+    return any(isinstance(v, bool) for v in values)
 
 
 def load_operator_spec(source) -> OperatorSpec:
@@ -70,7 +77,7 @@ def load_operator_spec(source) -> OperatorSpec:
         dim = int(doc["dim"])
     except (KeyError, TypeError, ValueError, OverflowError):
         raise SpecFileError("missing or bad key 'dim' (need 1 or 2)")
-    if dim not in (1, 2) or dim != doc["dim"]:
+    if dim not in (1, 2) or dim != doc["dim"] or _has_bool(doc["dim"]):
         raise SpecFileError("key 'dim' must be 1 or 2")
     name = str(doc.get("name", "operator"))
 
@@ -82,7 +89,8 @@ def load_operator_spec(source) -> OperatorSpec:
             i, j = int(ent["i"]), int(ent["j"])
         except (KeyError, TypeError, ValueError, OverflowError):
             raise SpecFileError(f"key 'g': bad metric entry {ent!r}")
-        if (i, j) != (ent["i"], ent["j"]) or not (0 <= i < dim and 0 <= j < dim):
+        if (i, j) != (ent["i"], ent["j"]) or _has_bool(ent["i"], ent["j"]) \
+                or not (0 <= i < dim and 0 <= j < dim):
             raise SpecFileError(f"key 'g': metric indices ({ent['i']!r}, {ent['j']!r}) "
                                 f"are not integers in [0, {dim})")
         slots.setdefault((i, j), []).append(ent)

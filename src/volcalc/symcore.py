@@ -15,14 +15,11 @@ pure; values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "CoefficientField",
     "QuadraticForm",
-    "SymbolTerm",
     "ParabolicSymbol",
     "DomainError",
     "FormMismatchError",
@@ -371,27 +368,20 @@ class QuadraticForm:
         return f"QuadraticForm(d={self.dim}, constant={self.is_constant()})"
 
 
-@dataclass(frozen=True)
-class SymbolTerm:
-    """One canonical term c(x) * xi^beta * Lambda^lpow."""
-
-    coeff: CoefficientField
-    beta: tuple
-    lpow: int
-
-    @property
-    def degree(self) -> int:
-        return sum(self.beta) + 2 * self.lpow
-
-    def __repr__(self):
-        return f"SymbolTerm(beta={self.beta}, lpow={self.lpow}, deg={self.degree})"
+def _degree(key):
+    """Parabolic degree |beta| + 2*l of the term keyed (beta, l)."""
+    beta, lpow = key
+    return sum(beta) + 2 * lpow
 
 
 class ParabolicSymbol:
     """Finite sum of canonical terms over a shared quadratic form.
 
-    `order` is the nominal top degree (an upper bound; graded pieces of
-    lower degree may be the only nonzero ones after cancellation).
+    `terms` is a {(beta, l): CoefficientField} dict or an iterable of
+    ((beta, l), coefficient) pairs; coefficients of equal keys are summed in
+    the order given.  `order` is the nominal top degree (an upper bound;
+    graded pieces of lower degree may be the only nonzero ones after
+    cancellation).
     """
 
     __slots__ = ("form", "_terms", "order")
@@ -400,18 +390,20 @@ class ParabolicSymbol:
         self.form = form
         d = form.dim
         tmap = {}
-        for (beta, lpow), coeff in (terms or {}).items():
+        pairs = terms.items() if isinstance(terms, dict) else terms or ()
+        for key, coeff in pairs:
+            if coeff.dim != d:
+                raise ValueError("coefficient dimension mismatch")
+            if not coeff.is_zero():
+                tmap[key] = tmap[key] + coeff if key in tmap else coeff
+        self._terms = {}
+        for (beta, lpow), coeff in tmap.items():  # each distinct key checked once
             beta = tuple(int(b) for b in beta)
             if len(beta) != d or any(b < 0 for b in beta):
                 raise ValueError(f"bad multi-index {beta}")
-            if coeff.dim != d:
-                raise ValueError("coefficient dimension mismatch")
-            if coeff.is_zero():
-                continue
-            key = (beta, int(lpow))
-            tmap[key] = tmap[key] + coeff if key in tmap else coeff
-        self._terms = {k: c for k, c in tmap.items() if not c.is_zero()}
-        top = max((sum(b) + 2 * l for (b, l) in self._terms), default=None)
+            if not coeff.is_zero():
+                self._terms[(beta, int(lpow))] = coeff
+        top = max(map(_degree, self._terms), default=None)
         if order is None:
             self.order = top if top is not None else 0
         else:
@@ -419,59 +411,45 @@ class ParabolicSymbol:
             if top is not None and top > self.order:
                 raise ValueError(f"terms of degree {top} exceed declared order {order}")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, form, order=0):
-        return cls(form, {}, order=order)
-
-    @classmethod
-    def constant(cls, form, value):
-        d = form.dim
-        return cls(form, {((0,) * d, 0): CoefficientField.constant(d, value)})
-
     # -- queries -----------------------------------------------------------
 
     @property
     def dim(self):
         return self.form.dim
 
-    def terms(self):
-        """Deterministically ordered list of SymbolTerm."""
-        keys = sorted(self._terms, key=lambda k: (-(sum(k[0]) + 2 * k[1]), k[0], k[1]))
-        return [SymbolTerm(self._terms[k], k[0], k[1]) for k in keys]
-
     def term_map(self):
-        return dict(self._terms)
+        """{(beta, l): coefficient} in canonical order: degree descending,
+        then beta, then l."""
+        keys = sorted(self._terms, key=lambda k: (-_degree(k), k))
+        return {k: self._terms[k] for k in keys}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def degrees(self):
-        return sorted({sum(b) + 2 * l for (b, l) in self._terms}, reverse=True)
+        return sorted(set(map(_degree, self._terms)), reverse=True)
 
     def coeff_norm(self) -> float:
         return max((c.norm_inf() for c in self._terms.values()), default=0.0)
 
     def piece_norm(self, degree: int) -> float:
-        return max((c.norm_inf() for (b, l), c in self._terms.items()
-                    if sum(b) + 2 * l == degree), default=0.0)
+        return max((c.norm_inf() for k, c in self._terms.items()
+                    if _degree(k) == degree), default=0.0)
 
     def top_degree(self, tol=0.0):
         """Highest degree carrying a coefficient above `tol` (None if none)."""
-        degs = [sum(b) + 2 * l for (b, l), c in self._terms.items()
-                if c.norm_inf() > tol]
+        degs = [_degree(k) for k, c in self._terms.items() if c.norm_inf() > tol]
         return max(degs, default=None)
 
     def graded_piece(self, degree: int):
-        sub = {k: c for k, c in self._terms.items() if sum(k[0]) + 2 * k[1] == degree}
+        sub = {k: c for k, c in self._terms.items() if _degree(k) == degree}
         return ParabolicSymbol(self.form, sub, order=degree)
 
     def principal_part(self):
         return self.graded_piece(self.order)
 
     def truncate_below(self, min_degree: int):
-        sub = {k: c for k, c in self._terms.items() if sum(k[0]) + 2 * k[1] >= min_degree}
+        sub = {k: c for k, c in self._terms.items() if _degree(k) >= min_degree}
         return ParabolicSymbol(self.form, sub, order=self.order)
 
     def allclose(self, other, tol=1e-12):
@@ -492,18 +470,14 @@ class ParabolicSymbol:
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
-            other = ParabolicSymbol.constant(self.form, other)
+            other = lambda_power(self.form, 0, other)
         self._check_form(other)
-        tmap = dict(self._terms)
-        for k, c in other._terms.items():
-            tmap[k] = tmap[k] + c if k in tmap else c
-        return ParabolicSymbol(self.form, tmap, order=max(self.order, other.order))
+        return ParabolicSymbol(self.form, [*self._terms.items(), *other._terms.items()],
+                               order=max(self.order, other.order))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = ParabolicSymbol.constant(self.form, other)
         return self + (-other)
 
     def __neg__(self):
@@ -511,8 +485,6 @@ class ParabolicSymbol:
                                order=self.order)
 
     def scale(self, factor):
-        if factor == 0:
-            return ParabolicSymbol.zero(self.form, order=self.order)
         return ParabolicSymbol(self.form,
                                {k: c.scale(factor) for k, c in self._terms.items()},
                                order=self.order)
@@ -521,13 +493,10 @@ class ParabolicSymbol:
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         self._check_form(other)
-        tmap = {}
-        for (b1, l1), c1 in self._terms.items():
-            for (b2, l2), c2 in other._terms.items():
-                key = (tuple(a + b for a, b in zip(b1, b2)), l1 + l2)
-                prod = c1 * c2
-                tmap[key] = tmap[key] + prod if key in tmap else prod
-        return ParabolicSymbol(self.form, tmap, order=self.order + other.order)
+        products = (((tuple(a + b for a, b in zip(b1, b2)), l1 + l2), c1 * c2)
+                    for (b1, l1), c1 in self._terms.items()
+                    for (b2, l2), c2 in other._terms.items())
+        return ParabolicSymbol(self.form, products, order=self.order + other.order)
 
     __rmul__ = __mul__
 
@@ -536,7 +505,7 @@ class ParabolicSymbol:
         if not lam > 0:
             raise DomainError("dilation parameter must be positive")
         lam = float(lam)
-        tmap = {k: c.scale(lam ** (sum(k[0]) + 2 * k[1])) for k, c in self._terms.items()}
+        tmap = {k: c.scale(lam ** _degree(k)) for k, c in self._terms.items()}
         return ParabolicSymbol(self.form, tmap, order=self.order)
 
     def deriv(self, var):
@@ -546,13 +515,6 @@ class ParabolicSymbol:
         d/dx_i  Lambda^l = l*Lambda^(l-1) * (d_i G)(xi, xi)
         """
         d = self.dim
-        out = {}
-
-        def _acc(key, coeff):
-            if coeff.is_zero():
-                return
-            out[key] = out[key] + coeff if key in out else coeff
-
         if not (isinstance(var, tuple) and len(var) == 2 and var[0] in ("xi", "x")):
             raise DomainError(f"unknown derivative variable {var!r}; "
                               "expected ('xi', i) or ('x', i)")
@@ -560,13 +522,14 @@ class ParabolicSymbol:
         axis = int(axis)
         if not 0 <= axis < d:
             raise DomainError(f"axis {axis} out of range for d={d}")
+        out = []  # (key, coefficient) pairs; the constructor sums equal keys
 
         if kind == "xi":
             for (beta, l), c in self._terms.items():
                 if beta[axis] > 0:
                     nb = list(beta)
                     nb[axis] -= 1
-                    _acc((tuple(nb), l), c.scale(beta[axis]))
+                    out.append(((tuple(nb), l), c.scale(beta[axis])))
                 if l != 0:
                     for j in range(d):
                         g = self.form.entries[axis][j]
@@ -574,13 +537,13 @@ class ParabolicSymbol:
                             continue
                         nb = list(beta)
                         nb[j] += 1
-                        _acc((tuple(nb), l - 1), (g * c).scale(2 * l))
+                        out.append(((tuple(nb), l - 1), (g * c).scale(2 * l)))
             return ParabolicSymbol(self.form, out, order=self.order - 1)
 
         # kind == "x"
         dg = None
         for (beta, l), c in self._terms.items():
-            _acc((beta, l), c.deriv(axis))
+            out.append(((beta, l), c.deriv(axis)))
             if l != 0:
                 if dg is None:
                     dg = self.form.deriv(axis)
@@ -593,7 +556,7 @@ class ParabolicSymbol:
                         nb[i] += 1
                         nb[j] += 1
                         mult = l if i == j else 2 * l
-                        _acc((tuple(nb), l - 1), (e * c).scale(mult))
+                        out.append(((tuple(nb), l - 1), (e * c).scale(mult)))
         return ParabolicSymbol(self.form, out, order=self.order)
 
     # -- evaluation --------------------------------------------------------

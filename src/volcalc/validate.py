@@ -317,11 +317,8 @@ def _compose_diff_ops(op1, op2, dim):
 
 def _diff_op_symbol(terms, form):
     """Left symbol: sum c_alpha(x) (i xi)^alpha, as lpow = 0 canonical terms."""
-    tmap = {}
-    for coeff, alpha in terms:
-        key, scaled = (alpha, 0), coeff.scale(1j ** sum(alpha))
-        tmap[key] = tmap[key] + scaled if key in tmap else scaled
-    return ParabolicSymbol(form, tmap)
+    return ParabolicSymbol(form, [((alpha, 0), coeff.scale(1j ** sum(alpha)))
+                                  for coeff, alpha in terms])
 
 
 def criterion_8(corpus, rng):
@@ -364,10 +361,8 @@ def criterion_9(corpus, rng):
 
     drift = corpus["drift_shift"]
     res = parametrix(operator_symbol(drift), 2)
-    k2 = CausalKernel.from_symbol(res.symbol.graded_piece(-2))
-    k3 = CausalKernel.from_symbol(res.symbol.graded_piece(-3))
-    two_term = ScaledFamily(k2 + k3, order=-2)
-    strict = ScaledFamily(k2, order=-2)
+    two_term = ScaledFamily(CausalKernel.from_symbol(res.symbol.truncate_below(-3)), order=-2)
+    strict = ScaledFamily(CausalKernel.from_symbol(res.symbol.graded_piece(-2)), order=-2)
     zg = np.array([[-2.0], [-0.7], [0.6], [1.9]])
     tg = np.array([0.25, 0.8, 1.7])
     hom_worst = 0.0

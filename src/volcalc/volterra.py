@@ -27,6 +27,7 @@ from .symcore import (
     DomainError,
     ParabolicSymbol,
     QuadraticForm,
+    _degree,
     lambda_power,
     multi_indices,
 )
@@ -39,7 +40,6 @@ __all__ = [
     "ParametrixResult",
     "parametrix",
     "min_extension_index",
-    "KernelPiece",
     "CausalKernel",
     "CausalityGrid",
     "causality_check",
@@ -134,7 +134,7 @@ def _sharp_sum(q1, q2, max_order):
     d = q1.dim
     dxi = {(0,) * d: q1}
     dx = {(0,) * d: q2}
-    total = ParabolicSymbol.zero(q1.form, order=q1.order + q2.order)
+    total = ParabolicSymbol(q1.form, order=q1.order + q2.order)
     for order in range(max_order):
         alive = False
         for alpha in multi_indices(d, order):
@@ -205,7 +205,7 @@ def parametrix(p: ParabolicSymbol, depth: int) -> ParametrixResult:
         raise ParametrixShapeError(
             "principal piece must equal Lambda; build p via operator_symbol")
     lam_inv = lambda_power(p.form, -1)
-    one = ParabolicSymbol.constant(p.form, 1.0)
+    one = lambda_power(p.form, 0)
     q = lam_inv
     defect = sharp_exact(p, lam_inv) - one
     for j in range(1, depth + 1):
@@ -222,8 +222,7 @@ def parametrix(p: ParabolicSymbol, depth: int) -> ParametrixResult:
             if residue > 1e-9 * scale:
                 raise ArithmeticError(
                     f"parametrix recursion left degree {s} residue {residue:.2e}")
-    cleaned = {k: c for k, c in defect.term_map().items()
-               if sum(k[0]) + 2 * k[1] <= -depth - 1}
+    cleaned = {k: c for k, c in defect.term_map().items() if _degree(k) <= -depth - 1}
     defect = ParabolicSymbol(p.form, cleaned, order=-depth - 1)
     return ParametrixResult(q, defect)
 
@@ -250,58 +249,34 @@ def min_extension_index(m: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelPiece:
-    """coeff(x) * xi^beta * t^tpow * exp(-t*G(x)(xi,xi)) * H(t)."""
-
-    coeff: CoefficientField
-    beta: tuple
-    tpow: int
+def _kernel_terms(q):
+    """(beta, n - 1, c / (n-1)!) per term c(x) xi^beta Lambda^-n of q, in
+    canonical order: Lambda^-n is the tau-transform of
+    t^(n-1)/(n-1)! exp(-t*G(x)(xi, xi)) H(t)."""
+    return [(beta, -l - 1, c.scale(1.0 / math.factorial(-l - 1)))
+            for (beta, l), c in q.term_map().items()]
 
 
 class CausalKernel:
-    """Closed-form causal kernel: sum of KernelPiece over a shared form.
+    """Closed-form causal kernel of a symbol whose terms all have l <= -1.
 
-    Each piece is the exact inverse tau-transform of one canonical symbol
-    term with lpow <= -1; the value vanishes identically for t < 0.
+    The kernel is the inverse tau-transform of `symbol`, term by term
+    (_kernel_terms), so it holds the symbol and nothing else; its value
+    vanishes identically for t < 0.
     """
 
-    def __init__(self, form: QuadraticForm, pieces):
-        self.form = form
-        self.pieces = tuple(pieces)
-
-    @property
-    def dim(self):
-        return self.form.dim
+    __slots__ = ("symbol",)
 
     @classmethod
     def from_symbol(cls, q: ParabolicSymbol):
-        pieces = []
-        for term in q.terms():
-            if term.lpow >= 0:
+        """The kernel of q; NonIntegrableError for a term with l >= 0."""
+        for _, lpow in q.term_map():
+            if lpow >= 0:
                 raise NonIntegrableError(
-                    f"term with lpow={term.lpow} >= 0 has no integrable extension")
-            n = -term.lpow
-            pieces.append(KernelPiece(term.coeff.scale(1.0 / math.factorial(n - 1)),
-                                      term.beta, n - 1))
-        return cls(q.form, pieces)
-
-    def degrees(self):
-        """Symbol degrees |beta| - 2*tpow - 2 of the underlying terms."""
-        return sorted({sum(p.beta) - 2 * p.tpow - 2 for p in self.pieces}, reverse=True)
-
-    def top_pieces(self):
-        """Pieces of maximal symbol degree (the model kernel at hbar = 0)."""
-        if not self.pieces:
-            return CausalKernel(self.form, ())
-        top = max(self.degrees())
-        return CausalKernel(self.form, [p for p in self.pieces
-                                        if sum(p.beta) - 2 * p.tpow - 2 == top])
-
-    def __add__(self, other):
-        if self.form != other.form:
-            raise ValueError("kernels over different forms")
-        return CausalKernel(self.form, self.pieces + other.pieces)
+                    f"term with lpow={lpow} >= 0 has no integrable extension")
+        kern = object.__new__(cls)
+        kern.symbol = q
+        return kern
 
     def eval_zeta(self, x, zeta, t):
         """Full (zeta, t) value at one point x, via the Gaussian xi-integral.
@@ -317,9 +292,9 @@ class CausalKernel:
         t = np.asarray(t, dtype=float)
         if np.any(t == 0.0):
             raise DomainError("closed-form zeta evaluation needs t > 0")
-        d = self.dim
+        d = self.symbol.dim
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-        norm, sigma = _gaussian_factors(self.form.matrix_at(x))
+        norm, sigma = _gaussian_factors(self.symbol.form.matrix_at(x))
         live = ~(t < 0)
         tl, inv = t[live], 1.0 / t[live]
         w = zeta @ sigma  # Sigma zeta, over the stack if there is one
@@ -327,14 +302,14 @@ class CausalKernel:
         mu = np.multiply.outer(w, inv)  # the shift, (..., d, m)
         base = norm * tl ** (-d / 2.0) * np.exp(-0.5 * np.multiply.outer((w * zeta).sum(-1), inv))
         total = 0.0
-        for p in self.pieces:
+        for beta, tpow, coeff in _kernel_terms(self.symbol):
             shift = 0.0
-            for gamma in _cartesian(*(range(b + 1) for b in p.beta)):
-                comb = math.prod(math.comb(b, c) for b, c in zip(p.beta, gamma))
+            for gamma in _cartesian(*(range(b + 1) for b in beta)):
+                comb = math.prod(math.comb(b, c) for b, c in zip(beta, gamma))
                 imu = math.prod((1j * mu[..., ax, :]) ** (b - c)
-                                for ax, (b, c) in enumerate(zip(p.beta, gamma)))
+                                for ax, (b, c) in enumerate(zip(beta, gamma)))
                 shift = shift + comb * imu * central_moment(gamma, cov)
-            total = total + p.coeff.evaluate(x) * tl ** p.tpow * shift
+            total = total + coeff.evaluate(x) * tl ** tpow * shift
         out = np.zeros(zeta.shape[:-1] + t.shape, dtype=complex)
         out[..., live] = (2.0 * np.pi) ** (-d) * base * total
         return out if out.ndim else complex(out)
@@ -345,21 +320,21 @@ class CausalKernel:
         x is one point or an (N, d) batch; t is a scalar or an array.  A batch
         reads the metric once as a stacked (N, d, d) array; its value has
         shape (N,) + t.shape, so a scalar t gives one value per point.  The
-        metric is checked and factorised once per call, and pieces of odd
+        metric is checked and factorised once per call, and terms of odd
         |beta| (zero moments) are skipped.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0):
             raise DomainError("diagonal value needs t > 0")
-        d = self.dim
-        g = self.form.matrix_at(x)
+        d = self.symbol.dim
+        g = self.symbol.form.matrix_at(x)
         norm, sigma = _gaussian_factors(g)
         out = np.zeros(g.shape[:-2] + t.shape, dtype=complex)
-        for p in self.pieces:
-            if sum(p.beta) % 2 == 1:
+        for beta, tpow, coeff in _kernel_terms(self.symbol):
+            if sum(beta) % 2 == 1:
                 continue
-            weight = p.coeff.evaluate(x) * (norm * central_moment(p.beta, sigma))
-            out += np.multiply.outer(weight, t ** (p.tpow - (d + sum(p.beta)) / 2.0))
+            weight = coeff.evaluate(x) * (norm * central_moment(beta, sigma))
+            out += np.multiply.outer(weight, t ** (tpow - (d + sum(beta)) / 2.0))
         out *= (2.0 * np.pi) ** (-d)
         return complex(out) if out.ndim == 0 else out
 

@@ -19,6 +19,7 @@ from volcalc.specfile import (
 from volcalc.validate import run_acceptance
 
 FLAT_1D = os.path.join(corpus_dir(), "flat_laplacian_1d.json")
+FLAT_2D = os.path.join(corpus_dir(), "flat_laplacian_2d.json")
 COSINE = os.path.join(corpus_dir(), "cosine_potential.json")
 METRIC_1D = os.path.join(corpus_dir(), "perturbed_metric.json")
 
@@ -98,7 +99,15 @@ def _cosine_spec(**keys):
     ({"dim": float("inf")}, "'dim'"),
     ({"g": [{"i": 0.7, "j": 0, "freq": [0], "re": 1.0}]}, "'g'"),
     ({"g": [{"i": 0, "j": 0, "freq": ["0"], "re": 1.0}]}, "'g[0][0]'"),
-], ids=["freq_1.5", "dim_1.9", "dim_inf", "index_0.7", "freq_string"])
+    # JSON booleans: True == 1, so the integrality checks alone pass them
+    ({"dim": True}, "'dim'"),
+    ({"g": [{"i": False, "j": 0, "freq": [0], "re": 1.0}]}, "'g'"),
+    ({"g": [{"i": 0, "j": False, "freq": [0], "re": 1.0}]}, "'g'"),
+    ({"V": [{"freq": [True], "re": 0.5}, {"freq": [-1], "re": 0.5}]}, "'V'"),
+    ({"V": [{"freq": [1], "re": True}, {"freq": [-1], "re": 1.0}]}, "'V'"),
+    ({"V": [{"freq": [0], "re": 1.0, "im": False}]}, "'V'"),
+], ids=["freq_1.5", "dim_1.9", "dim_inf", "index_0.7", "freq_string", "dim_true",
+        "i_false", "j_false", "freq_true", "re_true", "im_false"])
 def test_specfile_refuses_non_integral_numbers(keys, named, tmp_path, capsys):
     # int() would truncate 1.5 to 1 and parse "0": the value is refused instead
     path = tmp_path / "op.json"
@@ -312,6 +321,34 @@ def test_cli_semigroup_spectrum_outside_the_contour_exit_2(tmp_path, capsys):
                 "--t", "0.3", "0.7", "1.0", "--check", check]
         assert main(argv) == 2
         assert "outside the wedge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["semigroup", "contraction", "hy", "resolvent",
+                                   "reference"])
+def test_cli_semigroup_above_dense_mode_limit_exit_2(check, tmp_path, capsys):
+    # 81^2 = 6561 modes: the constant operator is stored as its diagonal, but
+    # every check needs a dense matrix; the variable one is refused at once
+    cosine_2d = {"dim": 2, "g": [{"i": 0, "j": 0, "freq": [0, 0], "re": 1},
+                                 {"i": 1, "j": 1, "freq": [0, 0], "re": 1}],
+                 "V": [{"freq": [1, 0], "re": 0.5}, {"freq": [-1, 0], "re": 0.5}]}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(cosine_2d))
+    for op in (FLAT_2D, str(path)):
+        assert main(["semigroup", "--op", op, "--modes", "40", "--check", check]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 6561 Galerkin modes need a dense") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["parametrix", "--op", FLAT_1D, "--depth", "2"],
+    ["validate", "--only", "10"],
+], ids=["parametrix", "validate"])
+def test_cli_unwritable_out_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}")
+    assert "wrote" not in captured.out and not out.exists()
 
 
 def test_cli_validate_malformed_corpus_exit_2(tmp_path, capsys):

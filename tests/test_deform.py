@@ -93,19 +93,16 @@ def test_homogeneity_defect_strict_and_identity():
         _, sup = homogeneity_defect(strict, lam, 0.5, zg, tg, reference="self")
         assert sup <= 1e-12
     # two-term family: lam = 1 still gives zero defect against itself
-    k2 = CausalKernel.from_symbol(res.symbol.graded_piece(-2))
-    k3 = CausalKernel.from_symbol(res.symbol.graded_piece(-3))
-    fam = ScaledFamily(k2 + k3, order=-2)
+    fam = ScaledFamily(CausalKernel.from_symbol(res.symbol.truncate_below(-3)), order=-2)
     _, sup = homogeneity_defect(fam, 1.0, 0.5, zg, tg, reference="self")
     assert sup <= 1e-14
 
 
 def test_homogeneity_defect_two_term_rate():
     res = parametrix(operator_symbol(CORPUS["drift_shift"]), 2)
-    k2 = CausalKernel.from_symbol(res.symbol.graded_piece(-2))
-    k3 = CausalKernel.from_symbol(res.symbol.graded_piece(-3))
-    kern = k2 + k3
-    assert kern.top_pieces().degrees() == [-2]  # the model (hbar = 0) member
+    kern = CausalKernel.from_symbol(res.symbol.truncate_below(-3))
+    assert kern.symbol.degrees() == [-2, -3]
+    assert kern.symbol.principal_part().degrees() == [-2]  # the model (hbar = 0) member
     fam = ScaledFamily(kern, order=-2)
     zg = np.array([[-2.0], [-0.7], [0.6], [1.9]])
     tg = np.array([0.25, 0.8, 1.7])
@@ -117,15 +114,15 @@ def test_homogeneity_defect_two_term_rate():
 
 def test_homogeneity_defect_factorises_the_metric_twice(monkeypatch):
     res = parametrix(operator_symbol(CORPUS["perturbed_metric"]), 2)
-    kern = CausalKernel.from_symbol(res.symbol.graded_piece(-2)) + \
-        CausalKernel.from_symbol(res.symbol.graded_piece(-3))
+    kern = CausalKernel.from_symbol(res.symbol.truncate_below(-3))
+    model = CausalKernel.from_symbol(res.symbol.graded_piece(-2))
     fam = ScaledFamily(kern, order=-2)
     zg = np.array([[-2.0], [-0.7], [0.6], [1.9]])
     tg = np.array([0.25, 0.8, 1.7])
     lam = 2.0
     # the per-point route, two scalar eval_zeta calls per sample, is the reference
     expect = np.array([[lam ** -1 * kern.eval_zeta(0.4, z / lam, t / lam**2)
-                        - kern.top_pieces().eval_zeta(0.4, z, t) for t in tg] for z in zg])
+                        - model.eval_zeta(0.4, z, t) for t in tg] for z in zg])
     calls = []
     for name in ("eigvalsh", "inv"):
         fn = getattr(np.linalg, name)

@@ -10,10 +10,15 @@ from scipy.integrate import quad
 from volcalc.heatexp import _heat_coefficients, heat_coefficients
 from volcalc.moments import _gaussian_factors, central_moment, gaussian_moment
 from volcalc.specfile import load_corpus
-from volcalc.symcore import CoefficientField, DomainError, QuadraticForm, grid_points
+from volcalc.symcore import (
+    CoefficientField,
+    DomainError,
+    QuadraticForm,
+    grid_points,
+    lambda_power,
+)
 from volcalc.volterra import (
     CausalKernel,
-    KernelPiece,
     OperatorSpec,
     operator_symbol,
     parametrix,
@@ -215,17 +220,19 @@ def test_batched_diagonal_value_matches_scalar_calls(op):
 
 def test_diagonal_value_factorises_the_metric_once(monkeypatch):
     kern = CausalKernel.from_symbol(parametrix(operator_symbol(METRIC_2D), 3).symbol)
-    assert any(sum(p.beta) % 2 for p in kern.pieces)
+    terms = kern.symbol.term_map()
+    assert any(sum(beta) % 2 for beta, _ in terms)
     pts = grid_points(8, 2)
     ts = np.array([0.5, 2.0])
-    # the per-point route, one gaussian_moment call per piece and point, is
-    # the reference
+    # the per-point route, one gaussian_moment call per term and point, is
+    # the reference; c xi^beta Lambda^-n has the kernel t^(n-1)/(n-1)! c ...
     g = METRIC_2D.metric.matrix_at(pts)
     expect = np.zeros((len(pts), 2), dtype=complex)
-    for p in kern.pieces:
-        moments = np.array([gaussian_moment(p.beta, gx) for gx in g])
-        weight = p.coeff.evaluate(pts) * moments
-        expect += np.multiply.outer(weight, ts ** (p.tpow - (2 + sum(p.beta)) / 2.0))
+    for (beta, lpow), c in terms.items():
+        tpow = -lpow - 1
+        moments = np.array([gaussian_moment(beta, gx) for gx in g])
+        weight = c.scale(1.0 / math.factorial(tpow)).evaluate(pts) * moments
+        expect += np.multiply.outer(weight, ts ** (tpow - (2 + sum(beta)) / 2.0))
     expect *= (2.0 * np.pi) ** -2
     calls = []
     for name in ("eigvalsh", "inv"):
@@ -238,11 +245,10 @@ def test_diagonal_value_factorises_the_metric_once(monkeypatch):
 
 
 def test_batched_diagonal_value_keeps_form_checks():
-    piece = [KernelPiece(CoefficientField.constant(1, 1.0), (0,), 0)]
     pts = grid_points(16, 1)
     # the derivative of a metric is a form without the floor check: -0.3 sin x
     indefinite = CORPUS["perturbed_metric"].metric.deriv(0)
-    kern = CausalKernel(indefinite, piece)
+    kern = CausalKernel.from_symbol(lambda_power(indefinite, -1))
     with pytest.raises(ValueError, match="positive definite"):
         kern.diagonal_value(pts, 1.0)
     with pytest.raises(ValueError, match="positive definite"):

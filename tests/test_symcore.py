@@ -13,7 +13,6 @@ from volcalc.symcore import (
     ParabolicSymbol,
     QuadraticForm,
     SingularityError,
-    SymbolTerm,
     grid_points,
     lambda_power,
 )
@@ -184,9 +183,16 @@ def test_form_value_and_derivative():
 
 def test_term_degree_examples():
     one = CoefficientField.constant(1, 1.0)
-    assert SymbolTerm(one, (2,), 0).degree == 2
-    assert SymbolTerm(one, (0,), -1).degree == -2
-    assert SymbolTerm(one, (1,), -1).degree == -1
+    for key, degree in ((((2,), 0), 2), (((0,), -1), -2), (((1,), -1), -1)):
+        assert ParabolicSymbol(FLAT1, {key: one}).degrees() == [degree]
+    # pairs with equal keys are summed; term_map lists degree descending,
+    # then beta, then l, whatever the order the terms came in
+    wave = cosine(1, (1,))
+    pairs = [(((0,), -1), one), (((2,), -1), wave), (((1,), -1), one),
+             (((0,), 0), one), (((0,), -1), wave), (((2,), -2), one)]
+    q = ParabolicSymbol(FLAT1, pairs)
+    assert list(q.term_map()) == [((0,), 0), ((2,), -1), ((1,), -1), ((0,), -1), ((2,), -2)]
+    assert q.term_map()[((0,), -1)] == one + wave
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +277,7 @@ def test_mul_lambda_powers():
 def test_mul_cancellation_to_constant():
     p = lambda_power(FLAT1, 1)  # i tau + |xi|^2 in canonical form
     one = p * lambda_power(FLAT1, -1)
-    assert one.allclose(ParabolicSymbol.constant(FLAT1, 1.0))
+    assert one.allclose(lambda_power(FLAT1, 0))
 
 
 def test_mul_matches_pointwise_square():
@@ -461,7 +467,7 @@ def test_grouped_evaluation_matches_term_by_term(form):
 
 
 def test_zero_symbol_evaluates_to_zero():
-    zero = ParabolicSymbol.zero(FLAT1)
+    zero = ParabolicSymbol(FLAT1)
     taus = np.linspace(-3.0, 3.0, 5)
     assert np.array_equal(zero.evaluate(0.3, [1.0], taus), np.zeros(5))
     assert zero.evaluate(0.3, [1.0], 0.5) == 0
