@@ -38,10 +38,10 @@ class HeatCoefficient:
 class HeatExpansion:
     """k(x; 0, t) ~ sum_j q_j(x) t^((j-d)/2) with an (identically zero) log slot."""
 
-    def __init__(self, dim, entries, log_coefficient=None, name="operator"):
+    def __init__(self, dim, entries, log_coefficient, name):
         self.dim = dim
         self.entries = tuple(entries)
-        self.log_coefficient = log_coefficient or CoefficientField.zero(dim)
+        self.log_coefficient = log_coefficient
         self.name = name
         exps = [e.exponent for e in self.entries]
         if any(b - a != 0.5 for a, b in zip(exps, exps[1:])):
@@ -100,7 +100,7 @@ def _heat_coefficients(op, max_index, grid_n=_GRID_N):
             samples[j] = vals.reshape((grid_n,) * d)
             qj = CoefficientField.from_grid(samples[j])
         entries.append(HeatCoefficient(j, (j - d) / 2.0, qj))
-    return HeatExpansion(d, entries, CoefficientField.zero(d), name=op.name), samples
+    return HeatExpansion(d, entries, CoefficientField.zero(d), op.name), samples
 
 
 def _projection_certificate(op, max_index, expansion, samples):

@@ -3,14 +3,15 @@
 gaussian_moment computes int_{R^d} xi^beta exp(-G(xi, xi)) dxi exactly:
 zero for odd total degree, otherwise the Wick/Isserlis pairing sum with
 covariance (1/2) G^{-1} and normalization pi^(d/2) det(G)^(-1/2).  The
-pairing sum is evaluated by the Stein recursion
+pairing sum is evaluated by the Stein recursion for a Gaussian of mean m
 
-    E[xi_i * xi^gamma] = sum_j Sigma_ij * gamma_j * E[xi^(gamma - e_j)]
+    E[xi_i * xi^gamma] = m_i E[xi^gamma] + sum_j Sigma_ij * gamma_j * E[xi^(gamma - e_j)]
 
-with memoization, which stays polynomial in |beta|.  gaussian_moment takes
-one matrix.  central_moment's Sigma may carry trailing axes (shape
-(d, d, N)), as _gaussian_factors returns it for a stack of matrices; the
-moment is then an array over them.
+with memoization, which stays polynomial in |beta|: centred (m = 0) for
+gaussian_moment and the diagonal kernel, with the complex mean of its shifted
+Gaussian for the off-diagonal kernel.  gaussian_moment takes one matrix.
+central_moment's Sigma may carry trailing axes (shape (d, d, N)), as
+_gaussian_factors returns it for a stack of matrices, and its mean (d, ..., N).
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 __all__ = ["gaussian_moment", "central_moment"]
 
 
-def central_moment(beta, sigma) -> complex:
-    """E[xi^beta] for a centered Gaussian with covariance matrix `sigma`."""
+def central_moment(beta, sigma, mean) -> complex:
+    """E[xi^beta] for a Gaussian of covariance `sigma` and mean `mean` (None:
+    centred, odd orders 0.0); mean[i] broadcasts with sigma[i, j]."""
     beta = tuple(int(b) for b in beta)
     if any(b < 0 for b in beta):
         raise ValueError("multi-index must be nonnegative")
@@ -31,7 +33,7 @@ def central_moment(beta, sigma) -> complex:
     def rec(gamma):
         if sum(gamma) == 0:
             return 1.0
-        if sum(gamma) % 2 == 1:
+        if mean is None and sum(gamma) % 2 == 1:
             return 0.0
         val = cache.get(gamma)
         if val is not None:
@@ -39,13 +41,13 @@ def central_moment(beta, sigma) -> complex:
         i = next(a for a, g in enumerate(gamma) if g > 0)
         rest = list(gamma)
         rest[i] -= 1
-        total = 0.0
+        total = 0.0 if mean is None else mean[i] * rec(tuple(rest))
         for j, gj in enumerate(rest):
             if gj == 0:
                 continue
             nxt = list(rest)
             nxt[j] -= 1
-            total += sigma[i, j] * gj * rec(tuple(nxt))
+            total = total + sigma[i, j] * gj * rec(tuple(nxt))
         cache[gamma] = total
         return total
 
@@ -83,4 +85,4 @@ def gaussian_moment(beta, form_matrix) -> float:
     norm, sigma = _gaussian_factors(g)
     if sum(beta) % 2 == 1:
         return 0.0
-    return float(norm * central_moment(beta, sigma))
+    return float(norm * central_moment(beta, sigma, None))

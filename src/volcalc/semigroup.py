@@ -548,15 +548,18 @@ def resolvent_bound_check(Q, samples) -> float:
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one contour sample")
-    A = _as_matrix(Q)
-    size = A.shape[0]
-    eye = np.eye(size, dtype=complex)
+    if isinstance(Q, DiscretizedOperator) and Q.diagonal is not None:
+        _require_dense(Q.size)  # Q - lambda is diagonal, of singular values |d_i - lambda|
+        svs = (np.abs(Q.diagonal - complex(lam)) for lam in samples)
+    else:
+        A = _as_matrix(Q)
+        eye = np.eye(A.shape[0], dtype=complex)
+        svs = (np.linalg.svd(A - complex(lam) * eye, compute_uv=False) for lam in samples)
     worst = 0.0
-    for lam in samples:
-        sv = np.linalg.svd(A - complex(lam) * eye, compute_uv=False)
-        if sv[-1] <= 1e-14 * max(1.0, sv[0]):
+    for lam, sv in zip(samples, svs):
+        if sv.min() <= 1e-14 * max(1.0, sv.max()):
             raise SpectrumSampleError(f"lambda={lam} is on the spectrum")
-        worst = max(worst, (1.0 + abs(complex(lam).imag)) / float(sv[-1]))
+        worst = max(worst, (1.0 + abs(complex(lam).imag)) / float(sv.min()))
     return worst
 
 
@@ -575,7 +578,7 @@ class FitResult:
     condition: float
 
 
-def heat_diagonal(disc: DiscretizedOperator, times, n_x=128):
+def heat_diagonal(disc: DiscretizedOperator, times, n_x):
     """Physical-space diagonal of exp(-tA) at grid points, one row per time.
 
     K(x, x) = (2*pi)^{-d} v(x)^T exp(-tM) conj(v(x)) with v(x)_k = exp(i<k,x>).

@@ -352,14 +352,6 @@ class QuadraticForm:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         return float(xi @ self.matrix_at(x) @ xi)
 
-    def deriv(self, axis: int):
-        """Entrywise d/dx_axis, built unchecked: it is exactly real and
-        symmetric as the form is, and positivity does not apply to it."""
-        form = object.__new__(QuadraticForm)
-        form.dim = self.dim
-        form.entries = tuple(tuple(e.deriv(axis) for e in row) for row in self.entries)
-        return form
-
     def min_eig_on_grid(self):
         mats = self.matrix_at(grid_points(_POSITIVITY_GRID_N, self.dim))
         return float(np.min(np.linalg.eigvalsh(mats)))
@@ -522,42 +514,31 @@ class ParabolicSymbol:
         axis = int(axis)
         if not 0 <= axis < d:
             raise DomainError(f"axis {axis} out of range for d={d}")
+        g = self.form.entries  # dform lists d G(xi, xi) = sum m f xi^raised as (f, raised, m)
+        if all(l == 0 for _, l in self._terms):  # no power of Lambda to differentiate
+            dform = []
+        elif kind == "xi":
+            dform = [(g[axis][j], (j,), 2) for j in range(d)]
+        else:
+            dform = [(g[i][j].deriv(axis), (i, j), 1 if i == j else 2)
+                     for i in range(d) for j in range(i, d)]
+        dform = [entry for entry in dform if not entry[0].is_zero()]
         out = []  # (key, coefficient) pairs; the constructor sums equal keys
-
-        if kind == "xi":
-            for (beta, l), c in self._terms.items():
-                if beta[axis] > 0:
-                    nb = list(beta)
-                    nb[axis] -= 1
-                    out.append(((tuple(nb), l), c.scale(beta[axis])))
-                if l != 0:
-                    for j in range(d):
-                        g = self.form.entries[axis][j]
-                        if g.is_zero():
-                            continue
-                        nb = list(beta)
-                        nb[j] += 1
-                        out.append(((tuple(nb), l - 1), (g * c).scale(2 * l)))
-            return ParabolicSymbol(self.form, out, order=self.order - 1)
-
-        # kind == "x"
-        dg = None
         for (beta, l), c in self._terms.items():
-            out.append(((beta, l), c.deriv(axis)))
-            if l != 0:
-                if dg is None:
-                    dg = self.form.deriv(axis)
-                for i in range(d):
-                    for j in range(i, d):
-                        e = dg.entries[i][j]
-                        if e.is_zero():
-                            continue
-                        nb = list(beta)
-                        nb[i] += 1
-                        nb[j] += 1
-                        mult = l if i == j else 2 * l
-                        out.append(((tuple(nb), l - 1), (e * c).scale(mult)))
-        return ParabolicSymbol(self.form, out, order=self.order)
+            if kind == "x":
+                out.append(((beta, l), c.deriv(axis)))
+            elif beta[axis] > 0:
+                nb = list(beta)
+                nb[axis] -= 1
+                out.append(((tuple(nb), l), c.scale(beta[axis])))
+            if l != 0:  # d Lambda^l = l Lambda^(l-1) d G
+                for f, raised, m in dform:
+                    nb = list(beta)
+                    for a in raised:
+                        nb[a] += 1
+                    out.append(((tuple(nb), l - 1), (f * c).scale(m * l)))
+        return ParabolicSymbol(self.form, out,
+                               order=self.order - 1 if kind == "xi" else self.order)
 
     # -- evaluation --------------------------------------------------------
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _cartesian
 from typing import NamedTuple
 
 import numpy as np
@@ -285,9 +284,10 @@ class CausalKernel:
         array; the value has shape (k,) + t.shape for a stack, t.shape for
         one covector.  It is exactly 0 where t < 0, and t = 0 raises
         DomainError.  The metric is factorised once per call:
-        int xi^beta e^{i<zeta,xi>} e^{-t G(xi,xi)} dxi is reduced to central
-        moments of the covariance Sigma / t, Sigma = G^{-1} / 2, after the
-        complex shift xi -> xi + i Sigma zeta / t.
+        int xi^beta e^{i<zeta,xi>} e^{-t G(xi,xi)} dxi is a moment of the
+        Gaussian of covariance Sigma / t, Sigma = G^{-1} / 2, and complex mean
+        i Sigma zeta / t: the shift xi -> xi + i Sigma zeta / t completes the
+        square in the exponent.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t == 0.0):
@@ -299,17 +299,11 @@ class CausalKernel:
         tl, inv = t[live], 1.0 / t[live]
         w = zeta @ sigma  # Sigma zeta, over the stack if there is one
         cov = np.multiply.outer(sigma, inv)  # (d, d, m), central_moment's layout
-        mu = np.multiply.outer(w, inv)  # the shift, (..., d, m)
+        mean = np.moveaxis(1j * np.multiply.outer(w, inv), -2, 0)  # (d, ..., m)
         base = norm * tl ** (-d / 2.0) * np.exp(-0.5 * np.multiply.outer((w * zeta).sum(-1), inv))
         total = 0.0
         for beta, tpow, coeff in _kernel_terms(self.symbol):
-            shift = 0.0
-            for gamma in _cartesian(*(range(b + 1) for b in beta)):
-                comb = math.prod(math.comb(b, c) for b, c in zip(beta, gamma))
-                imu = math.prod((1j * mu[..., ax, :]) ** (b - c)
-                                for ax, (b, c) in enumerate(zip(beta, gamma)))
-                shift = shift + comb * imu * central_moment(gamma, cov)
-            total = total + coeff.evaluate(x) * tl ** tpow * shift
+            total = total + coeff.evaluate(x) * tl ** tpow * central_moment(beta, cov, mean)
         out = np.zeros(zeta.shape[:-1] + t.shape, dtype=complex)
         out[..., live] = (2.0 * np.pi) ** (-d) * base * total
         return out if out.ndim else complex(out)
@@ -333,7 +327,7 @@ class CausalKernel:
         for beta, tpow, coeff in _kernel_terms(self.symbol):
             if sum(beta) % 2 == 1:
                 continue
-            weight = coeff.evaluate(x) * (norm * central_moment(beta, sigma))
+            weight = coeff.evaluate(x) * (norm * central_moment(beta, sigma, None))
             out += np.multiply.outer(weight, t ** (tpow - (d + sum(beta)) / 2.0))
         out *= (2.0 * np.pi) ** (-d)
         return complex(out) if out.ndim == 0 else out

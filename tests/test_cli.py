@@ -298,6 +298,18 @@ def test_cli_out_of_range_argument_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["semigroup", "--check", "semigroup", "--t", "0.3", "0.7", "1.1"],
+     "error: --check semigroup needs t1 t2 t3 with t1 + t2 = t3\n"),
+    (["causality", "--grid", "4096"],
+     "error: bad --grid '4096'; expected NTAU,TAUMAX\n"),
+], ids=["semigroup_times", "grid_format"])
+def test_cli_input_error_message_exit_2(argv, message, capsys):
+    assert main(argv + ["--op", FLAT_1D]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+
+
 def test_cli_contraction_of_negative_operator_exit_2(tmp_path, capsys):
     # V = -3 + cos x: the Hermitian part has eigenvalue -3.5
     doc = {"dim": 1, "g": [{"i": 0, "j": 0, "freq": [0], "re": 1}],

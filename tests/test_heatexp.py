@@ -1,5 +1,6 @@
 """Gaussian moments and diagonal heat coefficients."""
 
+import itertools
 import math
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_stacked_moment_matches_per_matrix_calls():
     norm, sigma = _gaussian_factors(G)
     assert norm.shape == (6,) and sigma.shape == (2, 2, 6)
     for beta in ((0, 0), (2, 0), (1, 1), (4, 2), (3, 0)):
-        got = norm * central_moment(beta, sigma)
+        got = norm * central_moment(beta, sigma, None)
         expect = np.array([gaussian_moment(beta, g) for g in G])
         assert np.max(np.abs(got - expect)) <= 1e-15 * max(1.0, np.max(np.abs(expect)))
     with pytest.raises(ValueError, match="one form matrix"):
@@ -113,11 +114,61 @@ def test_stacked_moment_matches_per_matrix_calls():
         _gaussian_factors(indefinite)
 
 
+def _hermite_moment(beta, sigma, mean, nodes=10):
+    """E[xi^beta] for xi = mean + L z, L L^T = sigma, z standard normal: tensor
+    Gauss-Hermite quadrature, exact for |beta| <= 2 * nodes - 1."""
+    d = len(beta)
+    xs, ws = hermgauss(nodes)
+    L = np.linalg.cholesky(sigma)
+    total = 0.0
+    for idx in itertools.product(range(nodes), repeat=d):
+        xi = mean + L @ (np.sqrt(2.0) * xs[list(idx)])
+        total += np.prod(ws[list(idx)]) * np.prod(xi ** np.array(beta))
+    return total / np.pi ** (d / 2.0)
+
+
+def _binomial_moment(beta, sigma, mean):
+    """E[(eta + mean)^beta], eta centred: the binomial expansion over gamma <= beta."""
+    total = 0.0
+    for gamma in itertools.product(*(range(b + 1) for b in beta)):
+        comb = math.prod(math.comb(b, c) for b, c in zip(beta, gamma))
+        shift = math.prod(mean[i] ** (b - c) for i, (b, c) in enumerate(zip(beta, gamma)))
+        total = total + comb * shift * central_moment(gamma, sigma, None)
+    return total
+
+
+def test_shifted_moment_matches_quadrature_and_binomial():
+    rng = np.random.default_rng(19)
+    for d in (1, 2):
+        R = rng.standard_normal((d, d))
+        sigma = R @ R.T + 0.3 * np.eye(d)
+        mean = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        betas = [b for b in itertools.product(range(9), repeat=d) if sum(b) <= 8]
+        for beta in betas:
+            ref = _hermite_moment(beta, sigma, mean)
+            scale = max(1.0, abs(ref))
+            assert abs(central_moment(beta, sigma, mean) - ref) <= 1e-13 * scale
+            assert abs(_binomial_moment(beta, sigma, mean) - ref) <= 1e-13 * scale
+    # the stacked layout of eval_zeta: Sigma (d, d, m), the mean (d, k, m)
+    m, k = 3, 4
+    R = rng.standard_normal((m, 2, 2))
+    sigmas = R @ R.transpose(0, 2, 1) + 0.3 * np.eye(2)
+    means = rng.standard_normal((k, m, 2)) + 1j * rng.standard_normal((k, m, 2))
+    stack_sigma = np.moveaxis(sigmas, 0, -1)
+    stack_mean = np.moveaxis(means, -1, 0)
+    for beta in ((0, 0), (1, 0), (2, 1), (3, 3), (5, 3)):
+        got = np.broadcast_to(central_moment(beta, stack_sigma, stack_mean), (k, m))
+        for a in range(k):
+            for b in range(m):
+                ref = _hermite_moment(beta, sigmas[b], means[a, b])
+                assert abs(got[a, b] - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
 def test_central_moment_isserlis_pairing():
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
     # E[x^2 y^2] = s11 s22 + 2 s12^2
     expect = sigma[0, 0] * sigma[1, 1] + 2 * sigma[0, 1] ** 2
-    assert abs(central_moment((2, 2), sigma) - expect) < 1e-14
+    assert abs(central_moment((2, 2), sigma, None) - expect) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +296,20 @@ def test_diagonal_value_factorises_the_metric_once(monkeypatch):
 
 
 def test_batched_diagonal_value_keeps_form_checks():
-    pts = grid_points(16, 1)
-    # the derivative of a metric is a form without the floor check: -0.3 sin x
-    indefinite = CORPUS["perturbed_metric"].metric.deriv(0)
-    kern = CausalKernel.from_symbol(lambda_power(indefinite, -1))
+    # g = 1 + 2 cos 64x reads 3 on the 64-point floor grid, so the form is
+    # built, and -1 at x = pi/64, between two grid points
+    g = CoefficientField.constant(1, 1.0) + cosine(1, (64,), 2.0)
+    form = QuadraticForm([[g]])
+    assert form.min_eig_on_grid() == pytest.approx(3.0)
+    bad = np.pi / 64
+    assert g.evaluate(bad).real == pytest.approx(-1.0)
+    kern = CausalKernel.from_symbol(lambda_power(form, -1))
+    pts = np.vstack([grid_points(16, 1), [[bad]]])
+    kern.diagonal_value(pts[:-1], 1.0)  # every grid point is fine
     with pytest.raises(ValueError, match="positive definite"):
         kern.diagonal_value(pts, 1.0)
     with pytest.raises(ValueError, match="positive definite"):
-        kern.eval_zeta(1.0, [0.5], 1.0)
+        kern.eval_zeta(bad, [0.5], 1.0)
 
 
 def test_variable_metric_2d_heat_coefficients():

@@ -576,6 +576,23 @@ def test_resolvent_bound_stable_under_refinement():
     assert abs(c100 - c50) <= 0.1 * c100
 
 
+def test_resolvent_bound_of_a_diagonal_operator_makes_no_svd(monkeypatch):
+    # flat_laplacian_2d is stored as its diagonal: Q - lambda is diagonal too
+    disc = discretize(CORPUS["flat_laplacian_2d"], 12)
+    assert disc.diagonal is not None
+    s = np.linspace(0.3, 30.0, 25)
+    samples = CONTOUR_VERTEX + np.concatenate([s * (1 + 1j), s * (1 - 1j)])
+    dense = resolvent_bound_check(disc.matrix, samples)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("dense SVD on a diagonal operator")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert resolvent_bound_check(disc, samples) == dense
+    with pytest.raises(SpectrumSampleError):
+        resolvent_bound_check(disc, [disc.diagonal[0]])
+
+
 def test_resolvent_bound_errors():
     with pytest.raises(ValueError):
         resolvent_bound_check(np.array([[0.0]]), [])

@@ -151,8 +151,8 @@ def test_form_stores_a_near_real_metric_exactly_real():
         assert m.dtype == np.float64
         assert np.array_equal(m, np.swapaxes(m, -1, -2))
     assert G.matrix_at(pts).shape == (64, 2, 2)
-    # the derivative of an exactly real form is exactly real too
-    dg = G.deriv(0).entries[0][0]
+    # the derivative of an exactly real entry is exactly real too
+    dg = G.entries[0][0].deriv(0)
     assert dg.real_part("derivative") is dg
 
 
@@ -172,8 +172,10 @@ def test_form_positivity_floor():
 def test_form_value_and_derivative():
     G = perturbed_form()
     assert abs(G.value(0.0, [2.0]) - 1.5 * 4.0) < 1e-12
-    dG = G.deriv(0)
-    assert abs(dG.entries[0][0].evaluate(0.7) - (-0.5 * np.sin(0.7))) < 1e-12
+    # d/dx Lambda = (dg/dx) xi^2, read off the one term of the chain rule
+    dlam = lambda_power(G, 1).deriv(("x", 0)).term_map()
+    assert list(dlam) == [((2,), 0)]
+    assert abs(dlam[((2,), 0)].evaluate(0.7) - (-0.5 * np.sin(0.7))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
