@@ -204,6 +204,12 @@ class CoefficientField:
             return self.scale(other)
         if other.dim != self.dim:
             raise ValueError(f"cannot multiply fields of dimensions {self.dim} and {other.dim}")
+        for field, const in ((self, other), (other, self)):
+            # a constant with a zero part rounds as the convolution does; others may not
+            if len(const._box) == 1:
+                c = const._box.item()
+                if c.real == 0 or c.imag == 0:
+                    return field.scale(c)
         width = len(self._box) + len(other._box) - 1
         # with the trailing axes padded to the product's width, one 1-D
         # convolution of the flattened boxes has no wrap-around
@@ -214,6 +220,8 @@ class CoefficientField:
     __rmul__ = __mul__
 
     def scale(self, factor):
+        if factor == 1:  # fields are immutable
+            return self
         return CoefficientField._from_box(self.dim, complex(factor) * self._box)
 
     def deriv(self, axis: int):
@@ -274,6 +282,8 @@ class CoefficientField:
 def _trimmed(box):
     """The smallest centred sub-box holding every nonzero entry of `box`."""
     box += 0.0  # in place: -0.0 becomes 0.0, so equal fields have equal bytes
+    if box.ndim == 1 and (box[0] or box[-1]):
+        return box
     nonzero = np.count_nonzero(box)
     if not nonzero:
         K = box.shape[0] // 2
@@ -286,6 +296,8 @@ def _trimmed(box):
 
 def _padded(box, width):
     """box zero-padded at the end of every axis but the first to `width`."""
+    if box.ndim == 1:
+        return box
     out = np.zeros((len(box),) + (width,) * (box.ndim - 1), dtype=complex)
     out[(slice(None),) + (slice(0, len(box)),) * (box.ndim - 1)] = box
     return out
@@ -366,6 +378,15 @@ def _degree(key):
     return sum(beta) + 2 * lpow
 
 
+def _merged(pairs):
+    """{key: coefficient}: equal keys summed in the order given, zeros dropped."""
+    tmap = {}
+    for key, coeff in pairs:
+        if not coeff.is_zero():
+            tmap[key] = tmap[key] + coeff if key in tmap else coeff
+    return {k: c for k, c in tmap.items() if not c.is_zero()}
+
+
 class ParabolicSymbol:
     """Finite sum of canonical terms over a shared quadratic form.
 
@@ -373,28 +394,24 @@ class ParabolicSymbol:
     ((beta, l), coefficient) pairs; coefficients of equal keys are summed in
     the order given.  `order` is the nominal top degree (an upper bound;
     graded pieces of lower degree may be the only nonzero ones after
-    cancellation).
+    cancellation).  The public constructor checks every key and the order;
+    the algebra's results skip those checks (_from_pairs), since they are
+    built from checked keys and keep their degrees within the order.
     """
 
     __slots__ = ("form", "_terms", "order")
 
     def __init__(self, form: QuadraticForm, terms=None, order=None):
-        self.form = form
         d = form.dim
-        tmap = {}
-        pairs = terms.items() if isinstance(terms, dict) else terms or ()
-        for key, coeff in pairs:
+        pairs = []
+        for (beta, lpow), coeff in (terms.items() if isinstance(terms, dict) else terms or ()):
             if coeff.dim != d:
                 raise ValueError("coefficient dimension mismatch")
-            if not coeff.is_zero():
-                tmap[key] = tmap[key] + coeff if key in tmap else coeff
-        self._terms = {}
-        for (beta, lpow), coeff in tmap.items():  # each distinct key checked once
             beta = tuple(int(b) for b in beta)
             if len(beta) != d or any(b < 0 for b in beta):
                 raise ValueError(f"bad multi-index {beta}")
-            if not coeff.is_zero():
-                self._terms[(beta, int(lpow))] = coeff
+            pairs.append(((beta, int(lpow)), coeff))
+        self.form, self._terms = form, _merged(pairs)
         top = max(map(_degree, self._terms), default=None)
         if order is None:
             self.order = top if top is not None else 0
@@ -402,6 +419,13 @@ class ParabolicSymbol:
             self.order = int(order)
             if top is not None and top > self.order:
                 raise ValueError(f"terms of degree {top} exceed declared order {order}")
+
+    @classmethod
+    def _from_pairs(cls, form, pairs, order):
+        """Symbol of checked (key, coefficient) pairs of degree <= order."""
+        q = object.__new__(cls)
+        q.form, q._terms, q.order = form, _merged(pairs), order
+        return q
 
     # -- queries -----------------------------------------------------------
 
@@ -434,15 +458,15 @@ class ParabolicSymbol:
         return max(degs, default=None)
 
     def graded_piece(self, degree: int):
-        sub = {k: c for k, c in self._terms.items() if _degree(k) == degree}
-        return ParabolicSymbol(self.form, sub, order=degree)
+        sub = ((k, c) for k, c in self._terms.items() if _degree(k) == degree)
+        return ParabolicSymbol._from_pairs(self.form, sub, degree)
 
     def principal_part(self):
         return self.graded_piece(self.order)
 
     def truncate_below(self, min_degree: int):
-        sub = {k: c for k, c in self._terms.items() if _degree(k) >= min_degree}
-        return ParabolicSymbol(self.form, sub, order=self.order)
+        sub = ((k, c) for k, c in self._terms.items() if _degree(k) >= min_degree)
+        return ParabolicSymbol._from_pairs(self.form, sub, self.order)
 
     def allclose(self, other, tol=1e-12):
         if self.form != other.form:
@@ -464,8 +488,8 @@ class ParabolicSymbol:
         if isinstance(other, (int, float, complex)):
             other = lambda_power(self.form, 0, other)
         self._check_form(other)
-        return ParabolicSymbol(self.form, [*self._terms.items(), *other._terms.items()],
-                               order=max(self.order, other.order))
+        pairs = [*self._terms.items(), *other._terms.items()]
+        return ParabolicSymbol._from_pairs(self.form, pairs, max(self.order, other.order))
 
     __radd__ = __add__
 
@@ -473,13 +497,14 @@ class ParabolicSymbol:
         return self + (-other)
 
     def __neg__(self):
-        return ParabolicSymbol(self.form, {k: -c for k, c in self._terms.items()},
-                               order=self.order)
+        return ParabolicSymbol._from_pairs(self.form, ((k, -c) for k, c in self._terms.items()),
+                                           self.order)
 
     def scale(self, factor):
-        return ParabolicSymbol(self.form,
-                               {k: c.scale(factor) for k, c in self._terms.items()},
-                               order=self.order)
+        if factor == 1:  # symbols are immutable
+            return self
+        return ParabolicSymbol._from_pairs(
+            self.form, ((k, c.scale(factor)) for k, c in self._terms.items()), self.order)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -488,7 +513,7 @@ class ParabolicSymbol:
         products = (((tuple(a + b for a, b in zip(b1, b2)), l1 + l2), c1 * c2)
                     for (b1, l1), c1 in self._terms.items()
                     for (b2, l2), c2 in other._terms.items())
-        return ParabolicSymbol(self.form, products, order=self.order + other.order)
+        return ParabolicSymbol._from_pairs(self.form, products, self.order + other.order)
 
     __rmul__ = __mul__
 
@@ -497,8 +522,8 @@ class ParabolicSymbol:
         if not lam > 0:
             raise DomainError("dilation parameter must be positive")
         lam = float(lam)
-        tmap = {k: c.scale(lam ** _degree(k)) for k, c in self._terms.items()}
-        return ParabolicSymbol(self.form, tmap, order=self.order)
+        tmap = ((k, c.scale(lam ** _degree(k))) for k, c in self._terms.items())
+        return ParabolicSymbol._from_pairs(self.form, tmap, self.order)
 
     def deriv(self, var):
         """Exact derivative; var is ('xi', i) or ('x', i).
@@ -523,7 +548,7 @@ class ParabolicSymbol:
             dform = [(g[i][j].deriv(axis), (i, j), 1 if i == j else 2)
                      for i in range(d) for j in range(i, d)]
         dform = [entry for entry in dform if not entry[0].is_zero()]
-        out = []  # (key, coefficient) pairs; the constructor sums equal keys
+        out = []  # (key, coefficient) pairs; _from_pairs sums equal keys
         for (beta, l), c in self._terms.items():
             if kind == "x":
                 out.append(((beta, l), c.deriv(axis)))
@@ -537,8 +562,8 @@ class ParabolicSymbol:
                     for a in raised:
                         nb[a] += 1
                     out.append(((tuple(nb), l - 1), (f * c).scale(m * l)))
-        return ParabolicSymbol(self.form, out,
-                               order=self.order - 1 if kind == "xi" else self.order)
+        return ParabolicSymbol._from_pairs(self.form, out,
+                                           self.order - 1 if kind == "xi" else self.order)
 
     # -- evaluation --------------------------------------------------------
 

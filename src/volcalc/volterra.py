@@ -133,7 +133,7 @@ def _sharp_sum(q1, q2, max_order):
     d = q1.dim
     dxi = {(0,) * d: q1}
     dx = {(0,) * d: q2}
-    total = ParabolicSymbol(q1.form, order=q1.order + q2.order)
+    pairs = []  # each alpha's merged product in turn; one merge sums them all
     for order in range(max_order):
         alive = False
         for alpha in multi_indices(d, order):
@@ -146,10 +146,10 @@ def _sharp_sum(q1, q2, max_order):
                 continue
             fact = math.prod(math.factorial(a) for a in alpha)
             coef = (-1j) ** order / fact
-            total = total + (da * db).scale(coef)
+            pairs += (da * db).scale(coef)._terms.items()
         if not alive and order > 0:
             break
-    return total
+    return ParabolicSymbol._from_pairs(q1.form, pairs, q1.order + q2.order)
 
 
 def sharp_product(q1: ParabolicSymbol, q2: ParabolicSymbol, depth: int) -> ParabolicSymbol:
@@ -301,9 +301,11 @@ class CausalKernel:
         cov = np.multiply.outer(sigma, inv)  # (d, d, m), central_moment's layout
         mean = np.moveaxis(1j * np.multiply.outer(w, inv), -2, 0)  # (d, ..., m)
         base = norm * tl ** (-d / 2.0) * np.exp(-0.5 * np.multiply.outer((w * zeta).sum(-1), inv))
-        total = 0.0
+        total, moments = 0.0, {}  # one moment per distinct beta
         for beta, tpow, coeff in _kernel_terms(self.symbol):
-            total = total + coeff.evaluate(x) * tl ** tpow * central_moment(beta, cov, mean)
+            if beta not in moments:
+                moments[beta] = central_moment(beta, cov, mean)
+            total = total + coeff.evaluate(x) * tl ** tpow * moments[beta]
         out = np.zeros(zeta.shape[:-1] + t.shape, dtype=complex)
         out[..., live] = (2.0 * np.pi) ** (-d) * base * total
         return out if out.ndim else complex(out)
@@ -324,10 +326,13 @@ class CausalKernel:
         g = self.symbol.form.matrix_at(x)
         norm, sigma = _gaussian_factors(g)
         out = np.zeros(g.shape[:-2] + t.shape, dtype=complex)
+        moments = {}  # one moment per distinct beta
         for beta, tpow, coeff in _kernel_terms(self.symbol):
             if sum(beta) % 2 == 1:
                 continue
-            weight = coeff.evaluate(x) * (norm * central_moment(beta, sigma, None))
+            if beta not in moments:
+                moments[beta] = norm * central_moment(beta, sigma, None)
+            weight = coeff.evaluate(x) * moments[beta]
             out += np.multiply.outer(weight, t ** (tpow - (d + sum(beta)) / 2.0))
         out *= (2.0 * np.pi) ** (-d)
         return complex(out) if out.ndim == 0 else out

@@ -125,6 +125,65 @@ def test_field_evaluate_on_tensor_grid_matches_pointwise(dim):
     assert np.max(np.abs(f.evaluate(pts) - expect)) <= 1e-13
 
 
+def _convolved(f, g):
+    """Box of f * g by one np.convolve of the flattened boxes, the trailing
+    axes zero-padded to the product's width (the general product)."""
+    dim, width = f.dim, len(f._box) + len(g._box) - 1
+
+    def padded(box):
+        out = np.zeros((len(box),) + (width,) * (dim - 1), dtype=complex)
+        out[(slice(None),) + (slice(0, len(box)),) * (dim - 1)] = box
+        return out.ravel()
+
+    out = np.convolve(padded(f._box), padded(g._box))[:width ** dim]
+    return CoefficientField._from_box(dim, out.reshape((width,) * dim))._box
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_constant_factor_product_is_bit_equal_to_the_convolution(dim):
+    # a constant with a zero real or imaginary part is applied as a scale;
+    # a general complex one still goes through the convolution
+    rng = np.random.default_rng(31 + dim)
+    for _ in range(200):
+        K = int(rng.integers(0, 3))
+        box = rng.standard_normal((2 * K + 1,) * dim) + 1j * rng.standard_normal((2 * K + 1,) * dim)
+        f = CoefficientField(dim, {tuple(i - K for i in k): box[k] for k in np.ndindex(box.shape)})
+        a, b = rng.standard_normal(2)
+        for c in (a, 1j * b, a + 1j * b, 1.0, 0.0, -0.0, -1j):
+            const = CoefficientField.constant(dim, c)
+            expect = _convolved(f, const).tobytes()
+            assert (f * const)._box.tobytes() == expect
+            assert (const * f)._box.tobytes() == expect
+
+
+def test_scale_by_one_returns_the_field():
+    f = cosine(2, (1, -2), 0.3)
+    for one in (1, 1.0, 1 + 0j, np.complex128(1.0)):
+        assert f.scale(one) is f
+        assert f * CoefficientField.constant(2, one) is f
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_trimmed_boxes_are_the_least_centred_box(dim):
+    rng = np.random.default_rng(40 + dim)
+    for n in (1, 3, 5, 7):
+        for inner in range(0, n // 2 + 2):  # nonzero entries only within this radius
+            box = rng.standard_normal((n,) * dim) + 0j
+            K = n // 2
+            for axis in range(dim):  # zero every entry outside the radius
+                far = np.abs(np.arange(n) - K) >= inner
+                box[(slice(None),) * axis + (far,)] = 0.0
+            box[box.real < -1.0] = -0.0  # signed zeros among the entries
+            nz = np.argwhere(box != 0)
+            radius = int(np.max(np.abs(nz - K))) if len(nz) else 0
+            expect = box[(slice(K - radius, K + radius + 1),) * dim] + 0.0
+            got = CoefficientField._from_box(dim, box.copy())._box
+            assert got.shape == (2 * radius + 1,) * dim
+            assert got.tobytes() == expect.tobytes()
+            assert not np.any(np.signbit(got.real) & (got.real == 0))
+            assert not np.any(np.signbit(got.imag) & (got.imag == 0))
+
+
 # ---------------------------------------------------------------------------
 # quadratic forms
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from volcalc.moments import central_moment
 from volcalc.semigroup import discretize, matrix_heat_reference
 from volcalc.specfile import load_corpus
 from volcalc.symcore import (
@@ -149,6 +150,43 @@ def test_principal_multiplicativity():
     top = sharp.graded_piece(p1.order + q.order)
     direct = p1.principal_part() * q.principal_part()
     assert top.allclose(direct)
+
+
+def _variable_operators():
+    """1-D and 2-D operators with a variable metric, a drift and a potential:
+    dyadic amplitudes (exact sums) and non-dyadic ones."""
+    for dim in (1, 2):
+        for amp in (0.25, 0.3):
+            e0, e1 = (1,) + (0,) * (dim - 1), (0,) * (dim - 1) + (1,)
+            g = CoefficientField.constant(dim, 1.0) + cosine(dim, e0, amp)
+            off = cosine(dim, e1, amp / 4)
+            metric = QuadraticForm([[g if i == j else off for j in range(dim)]
+                                    for i in range(dim)])
+            yield OperatorSpec(metric, tuple(sine(dim, e1, amp) for _ in range(dim)),
+                               cosine(dim, e0, amp) + CoefficientField.constant(dim, amp))
+
+
+def test_internal_results_equal_their_checked_rebuild():
+    # the algebra builds its results without the public key and order
+    # checks; each result must pass them and come back unchanged
+    for op in _variable_operators():
+        p = operator_symbol(op)
+        res = parametrix(p, 3)
+        q = res.symbol
+        results = [p + q, p - q, q - q, -q, q.scale(0.3), q.scale(1j), q.scale(1),
+                   p * q, q * q, q.dilate(0.5), q.dilate(3.0), q.graded_piece(-3),
+                   q.truncate_below(-4), sharp_product(p, q, 3), sharp_exact(p, q),
+                   res.symbol, res.defect]
+        results += [s.deriv((kind, a)) for s in (p, q) for kind in ("xi", "x")
+                    for a in range(op.dim)]
+        for r in results:
+            rebuilt = ParabolicSymbol(r.form, r.term_map(), order=r.order)
+            keys = list(r.term_map())
+            assert all(type(v) is int for beta, lpow in keys for v in (*beta, lpow))
+            assert type(r.order) is int and rebuilt.order == r.order
+            assert list(rebuilt.term_map()) == keys
+            assert [c._box.tobytes() for c in rebuilt.term_map().values()] \
+                == [c._box.tobytes() for c in r.term_map().values()]
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +370,28 @@ def test_batched_eval_zeta_matches_scalar_calls():
         kern.eval_zeta(0.3, zetas, np.array([0.5, 0.0]))
     with pytest.raises(DomainError):
         kern.eval_zeta(0.3, zetas[0], 0.0)
+
+
+def test_kernel_computes_one_moment_per_distinct_beta(monkeypatch):
+    from volcalc import volterra
+
+    kern = CausalKernel.from_symbol(parametrix(operator_symbol(perturbed_op()), 8).symbol)
+    betas = [beta for beta, _, _ in _kernel_terms(kern.symbol)]
+    assert (len(betas), len(set(betas))) == (57, 24)
+    zetas, ts = np.array([[0.4], [-1.1]]), np.array([0.2, 0.7])
+    expect = kern.eval_zeta(0.3, zetas, ts), kern.diagonal_value(0.3, ts)
+    calls = []
+
+    def counting(beta, sigma, mean):
+        calls.append(beta)
+        return central_moment(beta, sigma, mean)
+
+    monkeypatch.setattr(volterra, "central_moment", counting)
+    assert kern.eval_zeta(0.3, zetas, ts).tobytes() == expect[0].tobytes()
+    assert sorted(calls) == sorted(set(betas))
+    calls.clear()
+    assert kern.diagonal_value(0.3, ts).tobytes() == expect[1].tobytes()
+    assert sorted(calls) == sorted({b for b in betas if sum(b) % 2 == 0})
 
 
 def test_causal_kernel_rejects_nonintegrable():
