@@ -186,11 +186,7 @@ class CoefficientField:
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError(f"cannot add fields of dimensions {self.dim} and {other.dim}")
-        small, big = sorted((self._box, other._box), key=len)
-        out = big.copy()
-        lo = (len(big) - len(small)) // 2
-        out[(slice(lo, lo + len(small)),) * self.dim] += small
-        return CoefficientField._from_box(self.dim, out)
+        return CoefficientField._from_box(self.dim, _centred_sum(self._box, other._box))
 
     def __sub__(self, other):
         return self + (-other)
@@ -204,18 +200,11 @@ class CoefficientField:
             return self.scale(other)
         if other.dim != self.dim:
             raise ValueError(f"cannot multiply fields of dimensions {self.dim} and {other.dim}")
-        for field, const in ((self, other), (other, self)):
-            # a constant with a zero part rounds as the convolution does; others may not
-            if len(const._box) == 1:
-                c = const._box.item()
-                if c.real == 0 or c.imag == 0:
-                    return field.scale(c)
-        width = len(self._box) + len(other._box) - 1
-        # with the trailing axes padded to the product's width, one 1-D
-        # convolution of the flattened boxes has no wrap-around
-        a, b = _padded(self._box, width), _padded(other._box, width)
-        out = np.convolve(a.ravel(), b.ravel())[:width ** self.dim]
-        return CoefficientField._from_box(self.dim, out.reshape((width,) * self.dim))
+        box = _product_box(self, other)
+        for field in (self, other):
+            if box is field._box:  # a product with the constant 1; fields are immutable
+                return field
+        return CoefficientField._from_box(self.dim, box)
 
     __rmul__ = __mul__
 
@@ -292,6 +281,34 @@ def _trimmed(box):
     while len(box) > 1 and np.count_nonzero(box[inner]) == nonzero:
         box = box[inner]
     return box
+
+
+def _product_box(f, g):
+    """Untrimmed amplitude box of the field product f * g.  A constant with a zero
+    part is a scale, which rounds as the convolution does (others may not); the
+    constant 1 gives the other factor's own box, which callers must not write to."""
+    for box, const in ((f._box, g._box), (g._box, f._box)):
+        if len(const) == 1:
+            c = const.item()
+            if c.real == 0 or c.imag == 0:
+                return box if c == 1 else c * box
+    width = len(f._box) + len(g._box) - 1
+    # with the trailing axes padded to the product's width, one 1-D
+    # convolution of the flattened boxes has no wrap-around
+    out = np.convolve(_padded(f._box, width).ravel(), _padded(g._box, width).ravel())
+    return out[:width ** f.dim].reshape((width,) * f.dim)
+
+
+def _centred_sum(a, b):
+    """New array: the sum of two centred boxes, on the larger one's shape."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) == len(b):
+        return a + b
+    out = a.copy()
+    lo = (len(a) - len(b)) // 2
+    out[(slice(lo, lo + len(b)),) * a.ndim] += b
+    return out
 
 
 def _padded(box, width):
@@ -385,6 +402,12 @@ def _merged(pairs):
         if not coeff.is_zero():
             tmap[key] = tmap[key] + coeff if key in tmap else coeff
     return {k: c for k, c in tmap.items() if not c.is_zero()}
+
+
+def _products(q1, q2, mul):
+    """((beta1 + beta2, l1 + l2), mul(c1, c2)) for each term of q1 and, inner, of q2."""
+    return (((tuple(a + b for a, b in zip(b1, b2)), l1 + l2), mul(c1, c2))
+            for (b1, l1), c1 in q1._terms.items() for (b2, l2), c2 in q2._terms.items())
 
 
 class ParabolicSymbol:
@@ -510,9 +533,7 @@ class ParabolicSymbol:
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         self._check_form(other)
-        products = (((tuple(a + b for a, b in zip(b1, b2)), l1 + l2), c1 * c2)
-                    for (b1, l1), c1 in self._terms.items()
-                    for (b2, l2), c2 in other._terms.items())
+        products = _products(self, other, lambda c1, c2: c1 * c2)
         return ParabolicSymbol._from_pairs(self.form, products, self.order + other.order)
 
     __rmul__ = __mul__

@@ -26,7 +26,10 @@ from .symcore import (
     DomainError,
     ParabolicSymbol,
     QuadraticForm,
+    _centred_sum,
     _degree,
+    _product_box,
+    _products,
     lambda_power,
     multi_indices,
 )
@@ -129,11 +132,22 @@ def _derivative_chain(q, cache, alpha, kind):
     return out
 
 
+def _add_box(sums, key, box):
+    """sums[key] += box; a key takes its place at its first nonzero box, as in _merged."""
+    acc = sums.get(key)
+    if acc is not None or np.count_nonzero(box):
+        sums[key] = box if acc is None else _centred_sum(acc, box)
+
+
 def _sharp_sum(q1, q2, max_order):
+    """The # sum over |alpha| < max_order, ending after the first order > 0 at which
+    every d_xi^alpha q1 is zero.  Per alpha, each key's product boxes are summed in
+    product order and scaled once; per key, those sums are summed in alpha order and
+    trimmed once.  That rounds as merging (da * db).scale(coef) over alpha does, bit
+    for bit and in key order, since trimming drops only zero borders."""
     d = q1.dim
-    dxi = {(0,) * d: q1}
-    dx = {(0,) * d: q2}
-    pairs = []  # each alpha's merged product in turn; one merge sums them all
+    dxi, dx = {(0,) * d: q1}, {(0,) * d: q2}  # the derivative chains
+    total = {}  # key: box, keys in the order _merged gives them
     for order in range(max_order):
         alive = False
         for alpha in multi_indices(d, order):
@@ -146,10 +160,15 @@ def _sharp_sum(q1, q2, max_order):
                 continue
             fact = math.prod(math.factorial(a) for a in alpha)
             coef = (-1j) ** order / fact
-            pairs += (da * db).scale(coef)._terms.items()
+            sums = {}
+            for key, box in _products(da, db, _product_box):
+                _add_box(sums, key, box)
+            for key, box in sums.items():
+                _add_box(total, key, box if coef == 1 else coef * box)
         if not alive and order > 0:
             break
-    return ParabolicSymbol._from_pairs(q1.form, pairs, q1.order + q2.order)
+    fields = ((key, CoefficientField._from_box(d, box)) for key, box in total.items())
+    return ParabolicSymbol._from_pairs(q1.form, fields, q1.order + q2.order)
 
 
 def sharp_product(q1: ParabolicSymbol, q2: ParabolicSymbol, depth: int) -> ParabolicSymbol:

@@ -15,7 +15,9 @@ from volcalc.symcore import (
     ParabolicSymbol,
     QuadraticForm,
     lambda_power,
+    multi_indices,
 )
+from volcalc import volterra
 from volcalc.volterra import (
     CausalityGrid,
     CausalKernel,
@@ -23,6 +25,7 @@ from volcalc.volterra import (
     NonIntegrableError,
     OperatorSpec,
     ParametrixShapeError,
+    _derivative_chain,
     _kernel_terms,
     anticausal_control,
     causality_check,
@@ -187,6 +190,91 @@ def test_internal_results_equal_their_checked_rebuild():
             assert list(rebuilt.term_map()) == keys
             assert [c._box.tobytes() for c in rebuilt.term_map().values()] \
                 == [c._box.tobytes() for c in r.term_map().values()]
+
+
+def _sharp_by_fields(q1, q2, max_order):
+    """The # sum in the field algebra: per alpha, (da * db).scale(coef), and
+    every alpha's terms merged by ParabolicSymbol._from_pairs."""
+    d = q1.dim
+    dxi, dx = {(0,) * d: q1}, {(0,) * d: q2}
+    pairs = []
+    for order in range(max_order):
+        alive = False
+        for alpha in multi_indices(d, order):
+            da = _derivative_chain(q1, dxi, alpha, "xi")
+            if da.is_zero():
+                continue
+            alive = True
+            db = _derivative_chain(q2, dx, alpha, "x")
+            coef = (-1j) ** order / math.prod(map(math.factorial, alpha))
+            pairs += (da * db).scale(coef)._terms.items()
+        if not alive and order > 0:
+            break
+    return ParabolicSymbol._from_pairs(q1.form, pairs, q1.order + q2.order)
+
+
+def _sharp_cases():
+    """(q1, q2, depth or None for sharp_exact): 1-D and 2-D, dyadic and not, a
+    non-polynomial left factor whose 1/alpha! is inexact, and a product that
+    underflows to zero before its key's first nonzero one."""
+    for op in _variable_operators():
+        p = operator_symbol(op)
+        q = parametrix(p, 3).symbol
+        yield p, q, None
+        yield p, p, None
+        if op.dim == 1:
+            yield p, q, 3
+            yield parametrix(p, 4).symbol, p, 7
+        else:
+            yield q, p, 4
+    tiny = CoefficientField.constant(1, 1e-200)
+    q1 = ParabolicSymbol(FLAT1, {((0,), 0): tiny, ((1,), 0): cosine(1, (1,), 0.3)})
+    q2 = ParabolicSymbol(FLAT1, {((1,), 0): cosine(1, (2,), 1e-200), ((0,), 0): sine(1, (1,))})
+    yield q1, q2, None
+
+
+def _sharp(q1, q2, depth):
+    return sharp_exact(q1, q2) if depth is None else sharp_product(q1, q2, depth)
+
+
+def _layout(q):
+    """A symbol's keys in internal order, with their types, and its box bytes."""
+    return [(key, [type(v) for v in (*key[0], key[1])], c._box.shape, c._box.tobytes())
+            for key, c in q._terms.items()]
+
+
+def test_sharp_sum_equals_the_field_level_sum_bit_for_bit():
+    for q1, q2, depth in _sharp_cases():
+        ref = _sharp_by_fields(q1, q2, volterra._SHARP_EXACT_CAP if depth is None else depth)
+        if depth is not None:
+            ref = ref.truncate_below(q1.order + q2.order - depth + 1)
+        got = _sharp(q1, q2, depth)
+        assert got.order == ref.order
+        assert _layout(got) == _layout(ref)
+        assert all(t is int for _, types, _, _ in _layout(got) for t in types)
+
+
+def test_sharp_sum_leaves_its_inputs_and_their_derivatives_unchanged(monkeypatch):
+    # a product with the constant 1 hands the # sum a factor's own box
+    seen = {}
+
+    def snapshot(q):
+        seen.setdefault(id(q), (q, [(c._box.tobytes(), hash(c)) for c in q._terms.values()]))
+
+    def recorded(q, cache, alpha, kind):
+        out = _derivative_chain(q, cache, alpha, kind)
+        snapshot(out)  # before the sum multiplies by it
+        return out
+
+    monkeypatch.setattr(volterra, "_derivative_chain", recorded)
+    for q1, q2, depth in _sharp_cases():
+        seen.clear()
+        snapshot(q1)
+        snapshot(q2)
+        _sharp(q1, q2, depth)
+        assert len(seen) > 2
+        for q, before in seen.values():
+            assert [(c._box.tobytes(), hash(c)) for c in q._terms.values()] == before
 
 
 # ---------------------------------------------------------------------------
