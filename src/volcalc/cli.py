@@ -111,7 +111,7 @@ def cmd_heat_coeffs(args):
                   symbolic=desc if desc else "0", passed=True)
     table.add("log coefficient (structural)", symbolic="0", passed=True)
     if samples:  # variable metric: q_j were projected from a grid
-        for label, value in _projection_certificate(op, args.J, he, samples):
+        for label, value in _projection_certificate(he, samples):
             table.add(label, numeric=value, passed=True)
     if args.validate:
         # only j <= 2 is identifiable at the fit window

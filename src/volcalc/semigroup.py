@@ -627,7 +627,7 @@ def resolution_cutoff(op: OperatorSpec, t_min, resolve=18.0) -> int:
     eigenvalue enters the rule; with the bare t*n^2 >= 10 a variable metric
     leaves a boundary-layer error near t_min that pollutes the fits.
     """
-    gmin = op.metric.min_eig_on_grid()
+    gmin = op.metric.min_eig
     return int(np.ceil(np.sqrt(resolve / (float(t_min) * gmin))))
 
 

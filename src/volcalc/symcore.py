@@ -325,11 +325,11 @@ class QuadraticForm:
 
     G(x)(xi, xi) = sum_ij g_ij(x) xi_i xi_j.  Checked once, when built: each
     entry is snapped exactly real (real_part), the array must be symmetric,
-    and its least eigenvalue on a uniform 64^d grid must reach the floor
-    _POSITIVITY_FLOOR (symbolic positivity is out of reach).
+    and its least eigenvalue on a uniform 64^d grid, kept as `min_eig`, must
+    reach the floor _POSITIVITY_FLOOR (symbolic positivity is out of reach).
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "min_eig")
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -347,10 +347,11 @@ class QuadraticForm:
                     raise ValueError(f"g[{i}][{j}] and g[{j}][{i}] differ: "
                                      "form must be symmetric")
         self.entries = rows
-        floor = self.min_eig_on_grid()
-        if not floor >= _POSITIVITY_FLOOR:
+        mats = self.matrix_at(grid_points(_POSITIVITY_GRID_N, self.dim))
+        self.min_eig = float(np.min(np.linalg.eigvalsh(mats)))
+        if not self.min_eig >= _POSITIVITY_FLOOR:
             raise NotPositiveDefiniteError(
-                f"min eigenvalue {floor:.3e} below floor {_POSITIVITY_FLOOR:.1e}"
+                f"min eigenvalue {self.min_eig:.3e} below floor {_POSITIVITY_FLOOR:.1e}"
             )
 
     @classmethod
@@ -380,10 +381,6 @@ class QuadraticForm:
     def value(self, x, xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         return float(xi @ self.matrix_at(x) @ xi)
-
-    def min_eig_on_grid(self):
-        mats = self.matrix_at(grid_points(_POSITIVITY_GRID_N, self.dim))
-        return float(np.min(np.linalg.eigvalsh(mats)))
 
     def __repr__(self):
         return f"QuadraticForm(d={self.dim}, constant={self.is_constant()})"
@@ -470,10 +467,6 @@ class ParabolicSymbol:
 
     def coeff_norm(self) -> float:
         return max((c.norm_inf() for c in self._terms.values()), default=0.0)
-
-    def piece_norm(self, degree: int) -> float:
-        return max((c.norm_inf() for k, c in self._terms.items()
-                    if _degree(k) == degree), default=0.0)
 
     def top_degree(self, tol=0.0):
         """Highest degree carrying a coefficient above `tol` (None if none)."""

@@ -229,18 +229,13 @@ def criterion_6(corpus, rng):
     return table
 
 
-def _defect_rays(p, depths, rng):
-    """Random parabolic rays on the anisotropic shell, screened so each
-    depth's leading defect component is actually excited (a ray on which the
-    top coefficient interferes to near zero cannot certify the defect order).
+def _defect_rays(defects, rng):
+    """Random parabolic rays on the anisotropic shell, screened so the leading
+    component of each defect is actually excited (a ray on which the top
+    coefficient interferes to near zero cannot certify the defect order).
     """
-    d = p.dim
-    tops = []
-    for N in depths:
-        defect = parametrix(p, N).defect
-        td = defect.top_degree(tol=0.0)
-        if td is not None:
-            tops.append(defect.graded_piece(td))
+    tops = [q.graded_piece(q.degrees()[0]) for q in defects if not q.is_zero()]
+    d = defects[0].dim
     rays = []
     tries = 0
     while len(rays) < _RAY_COUNT and tries < _RAY_MAX_TRIES:
@@ -254,7 +249,7 @@ def _defect_rays(p, depths, rng):
         x0 = rng.uniform(0.0, 2.0 * np.pi, d)
         x0 = x0 if d > 1 else float(x0[0])
         if any(abs(top.evaluate(x0, xi_unit, tau_unit)) < _RAY_FLOOR * top.coeff_norm()
-               for top in tops if not top.is_zero()):
+               for top in tops):
             continue
         rays.append((x0, _RAY_RADIUS * xi_unit, _RAY_RADIUS**2 * tau_unit))
     return rays
@@ -263,22 +258,22 @@ def _defect_rays(p, depths, rng):
 def criterion_7(corpus, rng):
     """Defect order: no symbolic component above -N-1; ray sups non-increasing."""
     table = ReportTable("criterion 7: parametrix defect")
+    lams = np.geomspace(1.0, 32.0, 41)
     for name, op in corpus.items():
         p = operator_symbol(op)
-        rays = _defect_rays(p, range(2, 6), rng)
-        lams = np.geomspace(1.0, 32.0, 41)
+        results = {N: parametrix(p, N) for N in range(2, 6)}
+        rays = _defect_rays([res.defect for res in results.values()], rng)
         sups = {}
         top_ok = True
-        for N in range(2, 6):
-            res = parametrix(p, N)
+        for N, res in results.items():
             top = defect_top_degree(res)
             if top is not None and top > -N - 1:
                 top_ok = False
             per_ray = []
             for x0, xi0, tau0 in rays:
-                vals = np.array([abs(res.defect.evaluate(x0, lam * xi0,
-                                                         lam**2 * tau0))
-                                 for lam in lams])
+                # one call per ray: (lam xi0, lam^2 tau0) lie on the diagonal
+                vals = np.abs(np.diagonal(res.defect.evaluate(
+                    x0, np.outer(lams, xi0), lams**2 * tau0)))
                 per_ray.append(float(np.max(lams ** (N + 1) * vals)))
             sups[N] = per_ray
         table.add(f"no symbolic defect component above -N-1 {name}", passed=top_ok)

@@ -27,7 +27,6 @@ from .symcore import (
     ParabolicSymbol,
     QuadraticForm,
     _centred_sum,
-    _degree,
     _product_box,
     _products,
     lambda_power,
@@ -62,9 +61,6 @@ class ParametrixShapeError(ValueError):
 
 class DegenerateGridError(DomainError):
     """Causality grid is too coarse, empty or not representable in floats."""
-
-
-_SHARP_EXACT_CAP = 64  # sharp_exact stops at this order |alpha| if its sum has not ended
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +182,15 @@ def sharp_product(q1: ParabolicSymbol, q2: ParabolicSymbol, depth: int) -> Parab
 
 
 def sharp_exact(q1: ParabolicSymbol, q2: ParabolicSymbol) -> ParabolicSymbol:
-    """Exact # product; requires q1 polynomial in xi so the sum terminates."""
+    """Exact # product; requires q1 polynomial in xi so the sum terminates.
+
+    Every term xi^beta Lambda^l of such a q1 is a polynomial of xi-degree
+    |beta| + 2*l <= order(q1), so d_xi^alpha q1 = 0 once |alpha| > order(q1).
+    """
     if any(l < 0 for (_, l) in q1.term_map()):
         raise DomainError("exact composition needs a polynomial left factor")
     q1._check_form(q2)
-    return _sharp_sum(q1, q2, _SHARP_EXACT_CAP)
+    return _sharp_sum(q1, q2, q1.order + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +212,32 @@ def parametrix(p: ParabolicSymbol, depth: int) -> ParametrixResult:
         q_{-2-j} = -Lambda^{-1} * [degree -j piece of (p # q_{<j} - 1)],
 
     and the exact defect p # q - 1, which carries no graded component of
-    degree > -depth - 1 (killed components are dropped as symbolic zeros
-    after an internal cancellation check).
+    degree > -depth - 1.  Each step cancels its component exactly: the only
+    degree -j part of p # q_{-2-j} is Lambda * q_{-2-j}, which the constant
+    coefficient 1 of Lambda makes exactly the component's negative, so the
+    sum drops its keys.  That needs a principal piece exactly equal to
+    Lambda (operator_symbol writes it so); anything else is refused.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    principal = p.graded_piece(2)
-    expect = lambda_power(p.form, 1)
-    if p.order != 2 or not principal.allclose(expect, tol=1e-14):
+    if p.order != 2 or not p.graded_piece(2).allclose(lambda_power(p.form, 1), tol=0.0):
         raise ParametrixShapeError(
             "principal piece must equal Lambda; build p via operator_symbol")
-    lam_inv = lambda_power(p.form, -1)
-    one = lambda_power(p.form, 0)
-    q = lam_inv
-    defect = sharp_exact(p, lam_inv) - one
+    q = lambda_power(p.form, -1)
+    minus_lam_inv = lambda_power(p.form, -1, -1.0)
+    defect = sharp_exact(p, q) - lambda_power(p.form, 0)
     for j in range(1, depth + 1):
         comp = defect.graded_piece(-j)
         if comp.is_zero():
             continue
-        piece = (lam_inv * comp).scale(-1.0)
+        piece = minus_lam_inv * comp
         q = q + piece
         defect = defect + sharp_exact(p, piece)
-    scale = max(q.coeff_norm(), p.coeff_norm(), 1.0)
-    for s in defect.degrees():
-        if s > -depth - 1:
-            residue = defect.piece_norm(s)
-            if residue > 1e-9 * scale:
-                raise ArithmeticError(
-                    f"parametrix recursion left degree {s} residue {residue:.2e}")
-    cleaned = {k: c for k, c in defect.term_map().items() if _degree(k) <= -depth - 1}
-    defect = ParabolicSymbol(p.form, cleaned, order=-depth - 1)
+    top = max(defect.degrees(), default=-depth - 1)
+    if top > -depth - 1:
+        raise ArithmeticError(f"parametrix recursion left degree {top}")
+    # canonical key order: evaluate sums the terms in key order
+    defect = ParabolicSymbol._from_pairs(p.form, defect.term_map().items(), -depth - 1)
     return ParametrixResult(q, defect)
 
 

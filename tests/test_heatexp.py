@@ -8,7 +8,8 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 
-from volcalc.heatexp import _heat_coefficients, heat_coefficients
+from volcalc import heatexp
+from volcalc.heatexp import _heat_coefficients, _projection_certificate, heat_coefficients
 from volcalc.moments import _gaussian_factors, central_moment, gaussian_moment
 from volcalc.specfile import load_corpus
 from volcalc.symcore import (
@@ -300,7 +301,7 @@ def test_batched_diagonal_value_keeps_form_checks():
     # built, and -1 at x = pi/64, between two grid points
     g = CoefficientField.constant(1, 1.0) + cosine(1, (64,), 2.0)
     form = QuadraticForm([[g]])
-    assert form.min_eig_on_grid() == pytest.approx(3.0)
+    assert form.min_eig == pytest.approx(3.0)
     bad = np.pi / 64
     assert g.evaluate(bad).real == pytest.approx(-1.0)
     kern = CausalKernel.from_symbol(lambda_power(form, -1))
@@ -321,6 +322,21 @@ def test_variable_metric_2d_heat_coefficients():
     expect = CoefficientField.from_grid(q0.reshape(128, 128))
     assert (he.coefficient(0) - expect).norm_inf() <= 1e-12 * expect.norm_inf()
     assert he.coefficient(1).norm_inf() <= 1e-13
+
+
+@pytest.mark.parametrize("op, max_index", [(CORPUS["perturbed_metric"], 8), (METRIC_2D, 2)],
+                         ids=["perturbed_metric", "metric_2d"])
+def test_projection_certificate_reads_the_coarse_grid_off_the_fine_samples(
+        op, max_index, monkeypatch):
+    he, samples = _heat_coefficients(op, max_index)
+    rows = _projection_certificate(he, samples)
+    monkeypatch.setattr(heatexp, "_GRID_N", 64)
+    coarse, coarse_samples = _heat_coefficients(op, max_index)
+    assert samples.keys() == coarse_samples.keys()
+    for j, vals in samples.items():  # every other 128-point sample, bit for bit
+        assert np.array_equal(coarse_samples[j], vals[(slice(None, None, 2),) * op.dim])
+    diff = max((a.value - b.value).norm_inf() for a, b in zip(he.entries, coarse.entries))
+    assert rows[1] == ("grid 64 vs 128 points max coefficient difference", diff)
 
 
 def test_heat_coefficients_rejects_large_index():

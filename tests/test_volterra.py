@@ -245,13 +245,25 @@ def _layout(q):
 
 def test_sharp_sum_equals_the_field_level_sum_bit_for_bit():
     for q1, q2, depth in _sharp_cases():
-        ref = _sharp_by_fields(q1, q2, volterra._SHARP_EXACT_CAP if depth is None else depth)
+        ref = _sharp_by_fields(q1, q2, q1.order + 1 if depth is None else depth)
         if depth is not None:
             ref = ref.truncate_below(q1.order + q2.order - depth + 1)
         got = _sharp(q1, q2, depth)
         assert got.order == ref.order
         assert _layout(got) == _layout(ref)
         assert all(t is int for _, types, _, _ in _layout(got) for t in types)
+
+
+def test_sharp_exact_keeps_the_last_order_of_a_high_degree_left_factor():
+    # d_xi^64 xi^64 = 64! is the last nonzero derivative; its alpha = 64 term
+    # is the whole degree-0 piece, cos x
+    q1 = ParabolicSymbol(FLAT1, {((64,), 0): CoefficientField.constant(1, 1.0)})
+    q2 = ParabolicSymbol(FLAT1, {((0,), 0): cosine(1, (1,))})
+    got = sharp_exact(q1, q2)
+    assert _layout(got) == _layout(sharp_product(q1, q2, 65))
+    amps = got.graded_piece(0).term_map()[((0,), 0)].amplitudes
+    assert amps.keys() == {(1,), (-1,)}
+    assert all(abs(c - 0.5) <= 1e-12 for c in amps.values())
 
 
 def test_sharp_sum_leaves_its_inputs_and_their_derivatives_unchanged(monkeypatch):
@@ -329,14 +341,50 @@ def test_parametrix_two_sided_defect():
         scale = max(1.0, right.coeff_norm())
         for s in right.degrees():
             if s > -depth - 1:
-                assert right.piece_norm(s) <= 1e-9 * scale
+                assert right.graded_piece(s).coeff_norm() <= 1e-9 * scale
 
 
 def test_parametrix_shape_guard():
     bad = quadratic_symbol_like = lambda_power(FLAT1, 1) + ParabolicSymbol(
         FLAT1, {((2,), 0): CoefficientField.constant(1, 1.0)})
-    with pytest.raises(ParametrixShapeError):
-        parametrix(bad, 2)
+    # the recursion cancels exactly only against Lambda itself: one ulp off
+    # is refused too
+    off = operator_symbol(cos_potential_op()) + lambda_power(FLAT1, 1, 2.0 ** -52)
+    assert off.graded_piece(2).term_map() == {
+        ((0,), 1): CoefficientField.constant(1, 1.0 + 2.0 ** -52)}
+    for p in (bad, off):
+        with pytest.raises(ParametrixShapeError):
+            parametrix(p, 2)
+
+
+def test_parametrix_defect_keys_are_in_canonical_order():
+    # evaluate sums a symbol's terms in its internal key order
+    for op in CORPUS.values():
+        p = operator_symbol(op)
+        for depth in range(2, 6):
+            defect = parametrix(p, depth).defect
+            assert list(defect._terms) == list(defect.term_map())
+
+
+def test_stacked_defect_value_on_a_ray_matches_per_lambda_calls():
+    # criterion 7 reads a defect along a parabolic ray (lam xi, lam^2 tau)
+    # as the diagonal of one (xi stack) x (tau array) evaluation
+    lams = np.geomspace(1.0, 32.0, 41)
+    ops = [op for op in CORPUS.values() if op.dim == 1] + list(_variable_operators())
+    for op in ops:
+        defect = parametrix(operator_symbol(op), 3).defect
+        if defect.is_zero():
+            continue
+        d = op.dim
+        x0 = 1.1 if d == 1 else np.array([1.1, 2.3])
+        for xi0, tau0 in ((np.array([0.6, -0.5][:d]), 0.5 * np.exp(-1.2j)),
+                          (np.array([-1.3, 0.4][:d]), 0.3 * np.exp(-2.9j))):
+            got = np.diagonal(defect.evaluate(x0, np.outer(lams, xi0), lams**2 * tau0))
+            ref = np.array([defect.evaluate(x0, lam * xi0, lam**2 * tau0) for lam in lams])
+            # relative to the ray's largest value: the stacked and per-point
+            # arithmetic differ in the last bits, and where the defect cancels
+            # to 1e-8 of that value, this is more than 1e-12 of its own value
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
