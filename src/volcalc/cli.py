@@ -32,7 +32,8 @@ from .semigroup import (
 )
 from .specfile import SpecFileError, load_operator_spec
 from .symcore import DomainError
-from .validate import (APPROXIMANT_LAMS, CRITERIA, SEED, add_contour_node_rows,
+from .validate import (APPROXIMANT_LAMS, APPROXIMANT_TOL, CAUSALITY_TOL, CONTOUR_TOL,
+                       CONTRACTION_TOL, CRITERIA, HOMOGENEITY_TOL, SEED, add_contour_node_rows,
                        add_fit_diagnostics, defect_top_degree, run_acceptance, window_fit)
 from .volterra import (
     CausalKernel,
@@ -120,8 +121,7 @@ def cmd_heat_coeffs(args):
         for entry in he.entries:
             if entry.j > 2:
                 continue
-            sym = np.array([entry.value.evaluate(x if op.dim > 1 else float(x[0]))
-                            for x in xs]).real
+            sym = np.array([entry.value.evaluate(x) for x in xs]).real
             got = fit.coefficients[:, entry.j]
             err = float(np.max(np.abs(got - sym)))
             tol = max(1e-2, 0.02 * float(np.max(np.abs(sym))))
@@ -146,13 +146,13 @@ def cmd_semigroup(args):
         E = {t: dunford_heat(disc, t) for t in ts}
         err = float(np.linalg.norm(E[ts[0]] @ E[ts[1]] - E[ts[2]], 2))
         table.add(f"||E({ts[0]})E({ts[1]}) - E({ts[2]})||_2", numeric=err,
-                  error=err, tolerance=1e-8)
+                  error=err, tolerance=CONTOUR_TOL)
     elif args.check == "contraction":
         disc.require_nonnegative()
         for t in ts:
             nrm = float(np.linalg.norm(dunford_heat(disc, t), 2))
             table.add(f"||E({t})||_2", numeric=nrm, error=nrm - 1.0,
-                      tolerance=1e-10)
+                      tolerance=CONTRACTION_TOL)
     elif args.check == "hy":
         ref = matrix_heat_reference(disc, 1.0)
         errs = [float(np.linalg.norm(hy_heat(disc, lam, 1.0) - ref, 2))
@@ -161,7 +161,7 @@ def cmd_semigroup(args):
                   numeric="; ".join(f"{e:.3e}" for e in errs),
                   passed=all(b < a for a, b in zip(errs, errs[1:])))
         table.add("approximant error at lam = 1e4", numeric=errs[-1],
-                  error=errs[-1], tolerance=1e-3)
+                  error=errs[-1], tolerance=APPROXIMANT_TOL)
     elif args.check == "resolvent":
         s = np.linspace(0.3, 30.0, 25)
         samples = CONTOUR_VERTEX + np.concatenate([s * (1 + 1j), s * (1 - 1j)])
@@ -173,7 +173,7 @@ def cmd_semigroup(args):
             E = dunford_heat(disc, t)
             err = float(np.linalg.norm(E - matrix_heat_reference(disc, t), 2))
             table.add(f"dunford vs reference, t={t}", numeric=err, error=err,
-                      tolerance=1e-8)
+                      tolerance=CONTOUR_TOL)
     return _emit(table, args.out)
 
 
@@ -183,16 +183,17 @@ def cmd_causality(args):
     if args.grid:
         try:
             n_tau, tau_max = args.grid.split(",")
-            grid = CausalityGrid(n_tau=int(n_tau), tau_max=float(tau_max))
+            n_tau, tau_max = int(n_tau), float(tau_max)
         except ValueError:
             raise _InputError(f"bad --grid {args.grid!r}; expected NTAU,TAUMAX")
+        grid = CausalityGrid(n_tau=n_tau, tau_max=tau_max)  # its own DomainError says why
     res = parametrix(operator_symbol(op), args.depth)
     table = ReportTable(f"causality of the {op.name} parametrix, depth {args.depth}")
     for s in res.symbol.degrees():
         ratio = causality_check(res.symbol.graded_piece(s), grid=grid)
-        table.add(f"piece degree {s}", numeric=ratio, error=ratio, tolerance=1e-5)
+        table.add(f"piece degree {s}", numeric=ratio, error=ratio, tolerance=CAUSALITY_TOL)
     ratio = causality_check(res.symbol, grid=grid)
-    table.add("full parametrix symbol", numeric=ratio, error=ratio, tolerance=1e-5)
+    table.add("full parametrix symbol", numeric=ratio, error=ratio, tolerance=CAUSALITY_TOL)
     return _emit(table, args.out)
 
 
@@ -214,7 +215,7 @@ def cmd_deform(args):
     for lam in args.lam:
         _, sup = homogeneity_defect(strict, lam, x0, zg, tg, reference="self")
         table.add(f"principal-piece homogeneity defect lam={lam}", numeric=sup,
-                  error=sup, tolerance=1e-12)
+                  error=sup, tolerance=HOMOGENEITY_TOL)
     p = operator_symbol(op)
     for hbar in args.hbar:
         sym = rescale_symbol(p, hbar)

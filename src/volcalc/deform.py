@@ -59,8 +59,7 @@ def _dilation(lam, dim):
     return lam
 
 
-def homogeneity_defect(family: ScaledFamily, lam, x, zeta_grid, t_grid,
-                       reference="self"):
+def homogeneity_defect(family: ScaledFamily, lam, x, zeta_grid, t_grid, reference):
     """Defect field lam^(-m-d-2) k(x, delta_lam^{-1}(zeta, t)) - ref(x, zeta, t).
 
     The pushforward under alpha_lam is plain composition with

@@ -23,7 +23,7 @@ __all__ = ["gaussian_moment", "central_moment"]
 
 def central_moment(beta, sigma, mean) -> complex:
     """E[xi^beta] for a Gaussian of covariance `sigma` and mean `mean` (None:
-    centred, odd orders 0.0); mean[i] broadcasts with sigma[i, j]."""
+    centred); mean[i] broadcasts with sigma[i, j]."""
     beta = tuple(int(b) for b in beta)
     if any(b < 0 for b in beta):
         raise ValueError("multi-index must be nonnegative")
@@ -33,8 +33,6 @@ def central_moment(beta, sigma, mean) -> complex:
     def rec(gamma):
         if sum(gamma) == 0:
             return 1.0
-        if mean is None and sum(gamma) % 2 == 1:
-            return 0.0
         val = cache.get(gamma)
         if val is not None:
             return val

@@ -12,10 +12,11 @@ has the exact k -> -k mirror symmetry Q[::-1, ::-1] == conj(Q) in the
 lexicographic freqs order, and a self-adjoint one is exactly Hermitian.  A
 matrix with neither symmetry is refused.  Either one turns the lower ray's
 contour resolvents into the upper ray's, so one ray is solved, without
-eigenvalues: a diagonal costs O(n) per node; a Hermitian matrix is reduced
-once to a real symmetric tridiagonal T, and the closed-form inverse of
-T - lam is evaluated for every node at once on (n, nodes) arrays; any other
-takes one banded LU solve (LAPACK zgbsv) per node over its exact band.
+eigenvalues: an operator stored as its diagonal costs O(n) per node; a
+Hermitian matrix is reduced once to a real symmetric tridiagonal T, and the
+closed-form inverse of T - lam is evaluated for every node at once on
+(n, nodes) arrays; any other takes one banded LU solve (LAPACK zgbsv) per
+node over its exact band.
 
 The heat diagonal behind the fits and the log ladder uses real arithmetic:
 the matrix is taken by indexing to the real basis {1, sqrt2 cos<k,x>,
@@ -214,7 +215,9 @@ class ContourQuadrature:
     (drift) the resolvent feature sits closer to the contour; refine > 1
     subdivides each panel accordingly.  At the default 420 nodes per ray
     with refine 2, and s_max from default_quadrature, accuracy is uniform
-    over spectra in [0, 1e3] and t in [5e-3, 10].
+    over spectra in [0, 1e3] and t in [5e-3, 10].  The weights reach
+    e^{t |CONTOUR_VERTEX|} at the vertex, so rounding leaves no digit once
+    that times the float epsilon reaches 1 (t >= 36.04): such t are refused.
     """
 
     nodes_per_ray: int = 420
@@ -222,6 +225,10 @@ class ContourQuadrature:
     refine: int = 2
 
     def panel_edges(self, t):
+        t_max = -np.log(np.finfo(float).eps) / abs(CONTOUR_VERTEX)  # e^(t |vertex|) eps = 1
+        if not t < t_max:
+            raise DomainError(f"time {t:g} >= {t_max:.4g}: the contour weights reach "
+                              "e^(t |CONTOUR_VERTEX|), so rounding leaves no correct digit")
         ucut = min(t * self.s_max, t + 45.0)
         s_eff = ucut / t
         edges = {0.0, s_eff}
@@ -273,12 +280,10 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     scalar exponentials.  The lower ray's nodes and weights are the
     conjugates of the upper ray's, so with X = sum_j c_j R(lam_j) over the
     upper ray, R(lam) = (Q - lam)^{-1}, the routes are told apart by the
-    exact band half-width k of Q, read once from its nonzero entries, and by
-    exact comparisons:
+    storage of Q and by exact comparisons:
 
-    0. k = 0, or a DiscretizedOperator stored as its diagonal: O(n) per
-       node; a real diagonal is Hermitian, a complex one must be
-       mirror-symmetric.  A 1x1 matrix always lands here.
+    0. A DiscretizedOperator stored as its diagonal: O(n) per node; a real
+       diagonal is Hermitian, a complex one must be mirror-symmetric.
     1. Q Hermitian: Q = Z T Z^H with T real symmetric tridiagonal
        (Hessenberg reduction and a diagonal phase, _real_tridiagonal), the
        closed-form inverses of T - lam for all upper-ray nodes at once
@@ -286,8 +291,9 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
        R(conj lam) = R(lam)^H gives E = Z (X - X^H) Z^H.
     2. Q[::-1, ::-1] == conj(Q), as for every Galerkin matrix of an operator
        with real coefficients (reversing the lexicographic freqs maps k to
-       -k), so the band is (k, k): one banded LU solve (LAPACK zgbsv) per
-       upper-ray node, and R(conj lam) is R(lam) conjugated and reversed, so
+       -k), so the band is (k, k), k the exact half-width of Q's nonzero
+       entries: one banded LU solve (LAPACK zgbsv) per upper-ray node, and
+       R(conj lam) is R(lam) conjugated and reversed, so
        E = X - conj(X)[::-1, ::-1].
 
     Any other Q raises DomainError; a matrix Hermitian only up to rounding
@@ -311,9 +317,6 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     if isinstance(Q, DiscretizedOperator) and Q.diagonal is not None:
         return _diagonal_heat(Q.diagonal, lams, coefs)
     A = _as_matrix(Q)
-    k = _bandwidth(A)
-    if k == 0:
-        return _diagonal_heat(A.diagonal(), lams, coefs)
     if np.array_equal(A, A.conj().T):
         Z, a, b = _real_tridiagonal(A)
         _require_inside_contour(_least_eigenvalue(a, b))
@@ -323,6 +326,7 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
         _require_mirror_symmetric(A)
         _require_inside_contour(Q.eigenvalues if isinstance(Q, DiscretizedOperator)
                                 else np.linalg.eigvals(A))
+        k = _bandwidth(A)
         X = _ray_sum(_band_storage(A, k), k, lams, coefs)
         total = X - X[::-1, ::-1].conj()
     return total / (2j * np.pi)
@@ -631,7 +635,7 @@ def resolution_cutoff(op: OperatorSpec, t_min, resolve=18.0) -> int:
     return int(np.ceil(np.sqrt(resolve / (float(t_min) * gmin))))
 
 
-def log_coefficient_estimate(op: OperatorSpec, max_index: int, n_x=128):
+def log_coefficient_estimate(op: OperatorSpec, max_index: int, *, n_x):
     """Coefficient of t^((J-d)/2) log t in the diagonal, per grid point.
 
     Estimated by a dyadic scale-comparison ladder: the diagonal profile
@@ -664,7 +668,7 @@ def log_coefficient_estimate(op: OperatorSpec, max_index: int, n_x=128):
 
 
 def fit_diagonal_expansion(op: OperatorSpec, times, max_index: int,
-                           n=None, n_x=128) -> FitResult:
+                           n=None, *, n_x) -> FitResult:
     """Weighted least squares of the diagonal against {t^((j-d)/2)}.
 
     Weights t^(d/2) equalize the variance across the geometric time grid.

@@ -197,7 +197,7 @@ class CoefficientField:
     def __mul__(self, other):
         """Direct convolution of the amplitudes (no FFT, so dyadic data stays exact)."""
         if not isinstance(other, CoefficientField):
-            return self.scale(other)
+            return NotImplemented
         if other.dim != self.dim:
             raise ValueError(f"cannot multiply fields of dimensions {self.dim} and {other.dim}")
         box = _product_box(self, other)
@@ -205,8 +205,6 @@ class CoefficientField:
             if box is field._box:  # a product with the constant 1; fields are immutable
                 return field
         return CoefficientField._from_box(self.dim, box)
-
-    __rmul__ = __mul__
 
     def scale(self, factor):
         if factor == 1:  # fields are immutable
@@ -365,9 +363,6 @@ class QuadraticForm:
     def __eq__(self, other):
         return isinstance(other, QuadraticForm) and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.dim, tuple(tuple(e for e in row) for row in self.entries)))
-
     def is_constant(self) -> bool:
         return all(e.max_freq() == 0 for row in self.entries for e in row)
 
@@ -377,10 +372,6 @@ class QuadraticForm:
         # made symbol_eval's causality checks 35 % slower (glibc trims its heap sooner)
         vals = [[e.evaluate(x) for e in row] for row in self.entries]
         return np.moveaxis(np.array(vals, dtype=complex), (0, 1), (-2, -1)).real
-
-    def value(self, x, xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return float(xi @ self.matrix_at(x) @ xi)
 
     def __repr__(self):
         return f"QuadraticForm(d={self.dim}, constant={self.is_constant()})"
@@ -507,8 +498,6 @@ class ParabolicSymbol:
         pairs = [*self._terms.items(), *other._terms.items()]
         return ParabolicSymbol._from_pairs(self.form, pairs, max(self.order, other.order))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self + (-other)
 
@@ -516,20 +505,12 @@ class ParabolicSymbol:
         return ParabolicSymbol._from_pairs(self.form, ((k, -c) for k, c in self._terms.items()),
                                            self.order)
 
-    def scale(self, factor):
-        if factor == 1:  # symbols are immutable
-            return self
-        return ParabolicSymbol._from_pairs(
-            self.form, ((k, c.scale(factor)) for k, c in self._terms.items()), self.order)
-
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
+        if not isinstance(other, ParabolicSymbol):
+            return NotImplemented
         self._check_form(other)
         products = _products(self, other, lambda c1, c2: c1 * c2)
         return ParabolicSymbol._from_pairs(self.form, products, self.order + other.order)
-
-    __rmul__ = __mul__
 
     def dilate(self, lam):
         """(x, xi, tau) -> q(x, lam*xi, lam^2*tau); piece of degree s gains lam^s."""

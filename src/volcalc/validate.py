@@ -40,11 +40,18 @@ from .volterra import (
 )
 
 __all__ = ["CRITERIA", "run_acceptance", "criterion_summary", "add_fit_diagnostics",
-           "window_fit", "add_contour_node_rows", "defect_top_degree", "SEED", "APPROXIMANT_LAMS"]
+           "window_fit", "add_contour_node_rows", "defect_top_degree", "SEED", "APPROXIMANT_LAMS",
+           "CONTOUR_TOL", "CONTRACTION_TOL", "APPROXIMANT_TOL", "CAUSALITY_TOL", "HOMOGENEITY_TOL"]
 
 Q0_FLAT_1D = (4.0 * np.pi) ** -0.5
 SEED = 2026  # the default seed: criterion n draws from default_rng(SEED + n)
 APPROXIMANT_LAMS = (10.0, 1e2, 1e3, 1e4)  # the bounded-approximant ladder of semigroup --check hy
+# tolerances that the criteria and the CLI share
+CONTOUR_TOL = 1e-8  # contour heat against the reference, and the semigroup law
+CONTRACTION_TOL = 1e-10  # ||E(t)||_2 - 1, of the contour heat and of the approximants
+APPROXIMANT_TOL = 1e-3  # the approximant error at lam = 1e4
+CAUSALITY_TOL = 1e-5  # causality_check's ratio, for each parametrix piece
+HOMOGENEITY_TOL = 1e-12  # the strict-homogeneity defect of the principal kernel
 
 # criterion 4's Galerkin mode cutoffs, and criterion 7's defect rays
 _ORACLE_N_1D = 16
@@ -174,15 +181,15 @@ def criterion_4(corpus, rng):
         err = max(np.linalg.norm(Es[t] - matrix_heat_reference(Q, t), 2)
                   for t in Es)
         table.add(f"dunford vs reference {name}", numeric=err, error=err,
-                  tolerance=1e-8)
+                  tolerance=CONTOUR_TOL)
         semi = np.linalg.norm(Es[0.3] @ Es[0.7] - Es[1.0], 2)
         table.add(f"semigroup identity {name}", numeric=semi, error=semi,
-                  tolerance=1e-8)
+                  tolerance=CONTOUR_TOL)
         nonneg = (isinstance(Q, np.ndarray) or Q.is_nonnegative())
         if nonneg:
             growth = max(np.linalg.norm(E, 2) - 1.0 for E in Es.values())
             table.add(f"contractivity {name}", numeric=1.0 + growth,
-                      error=growth, tolerance=1e-10)
+                      error=growth, tolerance=CONTRACTION_TOL)
         else:
             table.add(f"contractivity {name} skipped (operator not nonnegative)",
                       passed=True)
@@ -202,11 +209,11 @@ def criterion_5(corpus, rng):
         table.add(f"approximant error decreasing {name}",
                   numeric="; ".join(f"{e:.2e}" for e in errs), passed=dec)
         table.add(f"approximant error at lam=1e4 {name}", numeric=errs[-1],
-                  error=errs[-1], tolerance=1e-3)
+                  error=errs[-1], tolerance=APPROXIMANT_TOL)
         growth = max(np.linalg.norm(hy_heat(disc, lam, t), 2) - 1.0
                      for lam in (1.0, 10.0, 100.0) for t in (0.1, 1.0, 10.0))
         table.add(f"approximant contractivity {name}", numeric=1.0 + growth,
-                  error=growth, tolerance=1e-10)
+                  error=growth, tolerance=CONTRACTION_TOL)
     return table
 
 
@@ -221,7 +228,7 @@ def criterion_6(corpus, rng):
             worst = max(worst, causality_check(res.symbol.graded_piece(s), grid=grid))
         worst = max(worst, causality_check(res.symbol, grid=grid))
         table.add(f"max piece ratio {name}", numeric=worst, error=worst,
-                  tolerance=1e-5)
+                  tolerance=CAUSALITY_TOL)
     flat = QuadraticForm.flat(1)
     anti = causality_check(anticausal_control(flat), grid=grid, dim=1)
     table.add("anti-causal control ratio >= 0.5", numeric=anti,
@@ -247,7 +254,6 @@ def _defect_rays(defects, rng):
         phase = rng.uniform(-np.pi + 0.2, -0.2)
         tau_unit = (1.0 - split) * np.exp(1j * phase)
         x0 = rng.uniform(0.0, 2.0 * np.pi, d)
-        x0 = x0 if d > 1 else float(x0[0])
         if any(abs(top.evaluate(x0, xi_unit, tau_unit)) < _RAY_FLOOR * top.coeff_norm()
                for top in tops):
             continue
@@ -356,7 +362,6 @@ def criterion_9(corpus, rng):
         d = op.dim
         for _ in range(20):
             x = rng.uniform(0, 2 * np.pi, d)
-            x = x if d > 1 else float(x[0])
             xi = rng.standard_normal(d) * 1.3
             tau = complex(rng.standard_normal(), -abs(rng.standard_normal()) - 0.3)
             for lam in (0.5, 2.0, 1.7):
@@ -377,7 +382,7 @@ def criterion_9(corpus, rng):
         _, sup = homogeneity_defect(strict, lam, 0.4, zg, tg, reference="self")
         hom_worst = max(hom_worst, sup)
     table.add("strictly homogeneous defect (incl. lam = 1)", numeric=hom_worst,
-              error=hom_worst, tolerance=1e-12)
+              error=hom_worst, tolerance=HOMOGENEITY_TOL)
     sups = [homogeneity_defect(two_term, lam, 0.4, zg, tg, reference="model")[1]
             for lam in (2.0, 4.0, 8.0, 16.0)]
     ratios = [b / a for a, b in zip(sups, sups[1:])]

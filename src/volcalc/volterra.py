@@ -60,7 +60,7 @@ class ParametrixShapeError(ValueError):
 
 
 class DegenerateGridError(DomainError):
-    """Causality grid is too coarse, empty or not representable in floats."""
+    """Causality grid is too coarse, too large, empty or not representable in floats."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,8 @@ def _sharp_sum(q1, q2, max_order):
     """The # sum over |alpha| < max_order, ending after the first order > 0 at which
     every d_xi^alpha q1 is zero.  Per alpha, each key's product boxes are summed in
     product order and scaled once; per key, those sums are summed in alpha order and
-    trimmed once.  That rounds as merging (da * db).scale(coef) over alpha does, bit
-    for bit and in key order, since trimming drops only zero borders."""
+    trimmed once.  That rounds as merging the terms of da * db, each coefficient scaled
+    by coef, over alpha does, bit for bit and in key order (trims drop zero borders)."""
     d = q1.dim
     dxi, dx = {(0,) * d: q1}, {(0,) * d: q2}  # the derivative chains
     total = {}  # key: box, keys in the order _merged gives them
@@ -361,14 +361,15 @@ class CausalKernel:
 @dataclass(frozen=True)
 class CausalityGrid:
     """tau sampling for the FFT support check; by default fine enough that the
-    slow t^p kernels of deep parametrix pieces do not wrap around in t."""
+    slow t^p kernels of deep parametrix pieces do not wrap around in t.  A
+    check holds about 137 bytes per tau sample, so n_tau is capped at 2^20."""
 
     n_tau: int = 16384
     tau_max: float = 200.0
 
     def __post_init__(self):
-        if self.n_tau < 64 or not 0 < self.tau_max < math.inf:
-            raise DegenerateGridError("need n_tau >= 64 and a finite tau_max > 0")
+        if not 64 <= self.n_tau <= 2**20 or not 0 < self.tau_max < math.inf:
+            raise DegenerateGridError("need 64 <= n_tau <= 2^20 and a finite tau_max > 0")
         step = 2.0 * self.tau_max / self.n_tau
         if not np.finfo(float).tiny <= step < math.inf:
             raise DegenerateGridError(
@@ -410,7 +411,7 @@ def _reciprocal_power(z, p):
     return out
 
 
-def causality_check(obj, grid=None, dim=None):
+def causality_check(obj, grid, dim=None):
     """Support-in-{t >= 0} verification; returns max_neg |k| / max |k|.
 
     The symbol is multiplied by the regularizer (1 + i*_REG_EPS*tau)^-(d+3)
@@ -426,7 +427,6 @@ def causality_check(obj, grid=None, dim=None):
     A non-finite kernel maximum is never skipped: the ratio is then inf.
     Ratio 0 by convention for an identically zero input.
     """
-    grid = grid or CausalityGrid()
     if isinstance(obj, ParabolicSymbol):
         d = obj.dim
     elif callable(obj):
@@ -489,7 +489,8 @@ def anticausal_control(form: QuadraticForm):
     """
 
     def evaluate(x, xi, taus):
-        a = form.value(x, np.atleast_1d(np.asarray(xi, dtype=float)))
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        a = float(xi @ form.matrix_at(x) @ xi)
         return 1.0 / (-1j * np.asarray(taus) + a)
 
     return evaluate

@@ -284,6 +284,9 @@ def test_cli_validate_out_byte_identical(tmp_path, capsys):
     ["deform", "--hbar", "1.5"],
     ["semigroup", "--t", "0"],
     ["semigroup", "--modes", "8", "--t", "inf"],
+    # e^t * eps reaches 1 at t = 36.04: the contour weights leave no digit
+    ["semigroup", "--modes", "8", "--t", "40"],
+    ["semigroup", "--modes", "8", "--t", "800"],
     ["deform", "--lambda", "nan"],
     ["causality", "--grid", "4096,inf"],
     ["causality", "--grid", "4096,nan"],
@@ -291,8 +294,9 @@ def test_cli_validate_out_byte_identical(tmp_path, capsys):
     ["causality", "--grid", "4096,1e-310"],
     ["causality", "--depth", "2", "--grid", "4096,1e60"],
 ], ids=["J_above_8", "J_negative", "modes_below_4", "depth_negative", "hbar_above_1",
-        "t_zero", "t_infinite", "lambda_nan", "tau_max_infinite", "tau_max_nan",
-        "tau_max_huge", "tau_step_subnormal", "tau_grid_too_coarse"])
+        "t_zero", "t_infinite", "t_past_contour_bound", "t_far_past_contour_bound",
+        "lambda_nan", "tau_max_infinite", "tau_max_nan", "tau_max_huge",
+        "tau_step_subnormal", "tau_grid_too_coarse"])
 def test_cli_out_of_range_argument_exit_2(argv, capsys):
     assert main(argv + ["--op", FLAT_1D]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -303,7 +307,11 @@ def test_cli_out_of_range_argument_exit_2(argv, capsys):
      "error: --check semigroup needs t1 t2 t3 with t1 + t2 = t3\n"),
     (["causality", "--grid", "4096"],
      "error: bad --grid '4096'; expected NTAU,TAUMAX\n"),
-], ids=["semigroup_times", "grid_format"])
+    (["causality", "--grid", "4096,1e-310"],
+     "error: tau step 2*tau_max/n_tau = 4.88e-314 is not a normal float\n"),
+    (["causality", "--grid", "32,200"],
+     "error: need 64 <= n_tau <= 2^20 and a finite tau_max > 0\n"),
+], ids=["semigroup_times", "grid_format", "grid_subnormal_step", "grid_too_few_samples"])
 def test_cli_input_error_message_exit_2(argv, message, capsys):
     assert main(argv + ["--op", FLAT_1D]) == 2
     captured = capsys.readouterr()

@@ -35,7 +35,7 @@ def test_filtration_bookkeeping():
 
 def test_rescale_symbol_examples():
     p = lambda_power(FLAT1, 1)
-    assert rescale_symbol(p, 0.5).allclose(p.scale(0.25))
+    assert rescale_symbol(p, 0.5).allclose(lambda_power(FLAT1, 1, 0.25))
     q2 = parametrix(operator_symbol(CORPUS["cosine_potential"]), 2).symbol
     assert rescale_symbol(q2, 0.0).allclose(lambda_power(FLAT1, -1))
     assert rescale_symbol(q2, 1.0).allclose(q2)
@@ -140,7 +140,7 @@ def test_dilation_refuses_powers_outside_normal_floats():
         with pytest.raises(DomainError, match="normal float"):
             measure_scaling_check(lam, 1)
         with pytest.raises(DomainError, match="normal float"):
-            homogeneity_defect(fam, lam, 0.0, [[0.5]], [1.0])
+            homogeneity_defect(fam, lam, 0.0, [[0.5]], [1.0], reference="self")
     assert measure_scaling_check(1e100, 1) == Fraction(1e100) ** 3
 
 

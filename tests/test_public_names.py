@@ -5,6 +5,11 @@ used when some module of src/volcalc/ refers to its name (an ast.Name or
 an ast.Attribute) outside the name's own definition.  Strings in __all__
 and import statements are not references.  A name that only tests reach
 belongs in the tests, not in the package.
+
+The scan matches bare names, not owners: a method counts as used when a
+method of the same name on another class is referenced, so
+ParabolicSymbol.scale went unseen as long as CoefficientField.scale had
+callers.  Such an orphan takes a trace of the package's traffic to find.
 """
 
 import ast

@@ -163,6 +163,15 @@ def test_scale_by_one_returns_the_field():
         assert f * CoefficientField.constant(2, one) is f
 
 
+def test_number_operands_are_refused():
+    # a number multiplies through CoefficientField.scale or lambda_power(form, 0, c)
+    f = cosine(1, (1,))
+    q = lambda_power(FLAT1, -1)
+    for product in (lambda: f * 2.0, lambda: 2.0 * f, lambda: 2.0 * q, lambda: q * 2.0):
+        with pytest.raises(TypeError):
+            product()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_trimmed_boxes_are_the_least_centred_box(dim):
     rng = np.random.default_rng(40 + dim)
@@ -230,7 +239,8 @@ def test_form_positivity_floor():
 
 def test_form_value_and_derivative():
     G = perturbed_form()
-    assert abs(G.value(0.0, [2.0]) - 1.5 * 4.0) < 1e-12
+    xi = np.array([2.0])
+    assert abs(xi @ G.matrix_at(0.0) @ xi - 1.5 * 4.0) < 1e-12
     # d/dx Lambda = (dg/dx) xi^2, read off the one term of the chain rule
     dlam = lambda_power(G, 1).deriv(("x", 0)).term_map()
     assert list(dlam) == [((2,), 0)]
@@ -264,9 +274,9 @@ def test_term_degree_examples():
 def test_dilate_homogeneous_examples():
     lam = lambda_power(FLAT1, 1)  # i tau + xi^2
     scaled = lam.dilate(2.0)
-    assert scaled.allclose(lam.scale(4.0))
+    assert scaled.allclose(lambda_power(FLAT1, 1, 4.0))
     lam_inv = lambda_power(FLAT1, -1)
-    assert lam_inv.dilate(3.0).allclose(lam_inv.scale(1.0 / 9.0))
+    assert lam_inv.dilate(3.0).allclose(lambda_power(FLAT1, -1, 1.0 / 9.0))
 
 
 def test_dilate_three_term_numeric():

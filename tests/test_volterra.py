@@ -176,7 +176,8 @@ def test_internal_results_equal_their_checked_rebuild():
         p = operator_symbol(op)
         res = parametrix(p, 3)
         q = res.symbol
-        results = [p + q, p - q, q - q, -q, q.scale(0.3), q.scale(1j), q.scale(1),
+        scaled = [q * lambda_power(q.form, 0, c) for c in (0.3, 1j, 1)]
+        results = [p + q, p - q, q - q, -q, *scaled,
                    p * q, q * q, q.dilate(0.5), q.dilate(3.0), q.graded_piece(-3),
                    q.truncate_below(-4), sharp_product(p, q, 3), sharp_exact(p, q),
                    res.symbol, res.defect]
@@ -193,8 +194,9 @@ def test_internal_results_equal_their_checked_rebuild():
 
 
 def _sharp_by_fields(q1, q2, max_order):
-    """The # sum in the field algebra: per alpha, (da * db).scale(coef), and
-    every alpha's terms merged by ParabolicSymbol._from_pairs."""
+    """The # sum in the field algebra: per alpha, the terms of da * db with each
+    coefficient scaled by coef, and every alpha's terms merged by
+    ParabolicSymbol._from_pairs."""
     d = q1.dim
     dxi, dx = {(0,) * d: q1}, {(0,) * d: q2}
     pairs = []
@@ -207,7 +209,7 @@ def _sharp_by_fields(q1, q2, max_order):
             alive = True
             db = _derivative_chain(q2, dx, alpha, "x")
             coef = (-1j) ** order / math.prod(map(math.factorial, alpha))
-            pairs += (da * db).scale(coef)._terms.items()
+            pairs += ((k, c.scale(coef)) for k, c in (da * db)._terms.items())
         if not alive and order > 0:
             break
     return ParabolicSymbol._from_pairs(q1.form, pairs, q1.order + q2.order)
@@ -601,12 +603,12 @@ def test_causality_resolvent_passes_spec_parameters():
 
 
 def test_causality_anticausal_control_fails():
-    ratio = causality_check(anticausal_control(FLAT1), dim=1)
+    ratio = causality_check(anticausal_control(FLAT1), CausalityGrid(), dim=1)
     assert ratio >= 0.5
 
 
 def test_causality_zero_symbol_convention():
-    assert causality_check(ParabolicSymbol(FLAT1)) == 0.0
+    assert causality_check(ParabolicSymbol(FLAT1), CausalityGrid()) == 0.0
 
 
 def test_causality_skips_points_where_symbol_vanishes():
@@ -616,13 +618,17 @@ def test_causality_skips_points_where_symbol_vanishes():
     q = ParabolicSymbol(flat2, {((1, 0), -2): CoefficientField.constant(2, 0.8 / 3),
                                 ((0, 1), -2): CoefficientField.constant(2, 0.2)})
     assert abs(q.evaluate((0.0, 0.0), [0.6, -0.8], -1j)) < 1e-15
-    assert causality_check(q) <= 1e-5
-    assert causality_check(anticausal_control(flat2), dim=2) >= 0.5
+    assert causality_check(q, CausalityGrid()) <= 1e-5
+    assert causality_check(anticausal_control(flat2), CausalityGrid(), dim=2) >= 0.5
 
 
 def test_causality_grid_validation():
     with pytest.raises(DegenerateGridError):
         CausalityGrid(n_tau=8)
+    # a check holds about 137 bytes per tau sample: 2^20 samples, about 140 MiB
+    assert CausalityGrid(n_tau=2**20).n_tau == 2**20
+    with pytest.raises(DegenerateGridError, match="2\\^20"):
+        CausalityGrid(n_tau=2**20 + 1)
 
 
 def test_causality_grid_must_be_representable():
@@ -654,8 +660,8 @@ def test_causality_nan_sample_fails():
             vals[len(vals) // 2] = np.nan
         return vals
 
-    assert causality_check(resolvent) <= 1e-5
-    assert causality_check(evaluate, dim=1) == math.inf
+    assert causality_check(resolvent, CausalityGrid()) <= 1e-5
+    assert causality_check(evaluate, CausalityGrid(), dim=1) == math.inf
 
 
 def test_volterra_closure_products_stay_causal():
