@@ -23,6 +23,7 @@ from .deform import (
 from .heatexp import _heat_coefficients, _projection_certificate
 from .report import ReportTable
 from .semigroup import (
+    CONTOUR_TOL,
     CONTOUR_VERTEX,
     discretize,
     dunford_heat,
@@ -30,10 +31,10 @@ from .semigroup import (
     matrix_heat_reference,
     resolvent_bound_check,
 )
-from .specfile import SpecFileError, load_operator_spec
+from .specfile import load_operator_spec
 from .symcore import DomainError
-from .validate import (APPROXIMANT_LAMS, APPROXIMANT_TOL, CAUSALITY_TOL, CONTOUR_TOL,
-                       CONTRACTION_TOL, CRITERIA, HOMOGENEITY_TOL, SEED, add_contour_node_rows,
+from .validate import (APPROXIMANT_LAMS, APPROXIMANT_TOL, CAUSALITY_TOL, CONTRACTION_TOL,
+                       CRITERIA, HOMOGENEITY_TOL, SEED, add_contour_node_rows,
                        add_fit_diagnostics, defect_top_degree, run_acceptance, window_fit)
 from .volterra import (
     CausalKernel,
@@ -50,23 +51,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-class _InputError(Exception):
-    pass
-
-
-def _load(path):
-    try:
-        return load_operator_spec(path)
-    except SpecFileError as exc:
-        raise _InputError(str(exc))
-
-
 def _write(table: ReportTable, out_path):
     """Write --out; an unwritable path is an input error, not a failed check."""
     try:
         table.write(out_path)
     except OSError as exc:
-        raise _InputError(f"cannot write {out_path}: {exc.strerror or exc}")
+        raise DomainError(f"cannot write {out_path}: {exc.strerror or exc}")
     print(f"wrote {out_path}")
 
 
@@ -88,7 +78,7 @@ def _symbol_summary(table, label, q):
 
 
 def cmd_parametrix(args):
-    op = _load(args.op)
+    op = load_operator_spec(args.op)
     res = parametrix(operator_symbol(op), args.depth)
     table = ReportTable(f"parametrix of d/dt + {op.name}, depth {args.depth}")
     _symbol_summary(table, "q", res.symbol)
@@ -101,7 +91,7 @@ def cmd_parametrix(args):
 
 
 def cmd_heat_coeffs(args):
-    op = _load(args.op)
+    op = load_operator_spec(args.op)
     he, samples = _heat_coefficients(op, args.J)
     table = ReportTable(f"diagonal heat coefficients of {op.name}")
     for entry in he.entries:
@@ -132,17 +122,15 @@ def cmd_heat_coeffs(args):
 
 
 def cmd_semigroup(args):
-    op = _load(args.op)
+    op = load_operator_spec(args.op)
     ts = args.t
-    if not all(0 < t < np.inf for t in ts):
-        raise DomainError("--t needs positive finite times")
-    disc = discretize(op, args.modes)
     table = ReportTable(f"semigroup checks for {op.name} (n={args.modes})")
     if args.check in ("semigroup", "contraction", "reference"):
-        add_contour_node_rows(table, ts)
+        add_contour_node_rows(table, ts)  # refuses a time the contour cannot resolve
+    disc = discretize(op, args.modes)
     if args.check == "semigroup":
         if len(ts) != 3 or abs(ts[0] + ts[1] - ts[2]) > 1e-12:
-            raise _InputError("--check semigroup needs t1 t2 t3 with t1 + t2 = t3")
+            raise DomainError("--check semigroup needs t1 t2 t3 with t1 + t2 = t3")
         E = {t: dunford_heat(disc, t) for t in ts}
         err = float(np.linalg.norm(E[ts[0]] @ E[ts[1]] - E[ts[2]], 2))
         table.add(f"||E({ts[0]})E({ts[1]}) - E({ts[2]})||_2", numeric=err,
@@ -178,14 +166,14 @@ def cmd_semigroup(args):
 
 
 def cmd_causality(args):
-    op = _load(args.op)
+    op = load_operator_spec(args.op)
     grid = CausalityGrid()
     if args.grid:
         try:
             n_tau, tau_max = args.grid.split(",")
             n_tau, tau_max = int(n_tau), float(tau_max)
         except ValueError:
-            raise _InputError(f"bad --grid {args.grid!r}; expected NTAU,TAUMAX")
+            raise DomainError(f"bad --grid {args.grid!r}; expected NTAU,TAUMAX")
         grid = CausalityGrid(n_tau=n_tau, tau_max=tau_max)  # its own DomainError says why
     res = parametrix(operator_symbol(op), args.depth)
     table = ReportTable(f"causality of the {op.name} parametrix, depth {args.depth}")
@@ -198,7 +186,7 @@ def cmd_causality(args):
 
 
 def cmd_deform(args):
-    op = _load(args.op)
+    op = load_operator_spec(args.op)
     res = parametrix(operator_symbol(op), 2)
     table = ReportTable(f"parabolic rescaling family of {op.name}")
     for lam in args.lam:
@@ -234,11 +222,8 @@ def cmd_deform(args):
 
 
 def cmd_validate(args):
-    try:
-        table, lines = run_acceptance(corpus_directory=args.corpus, seed=args.seed,
-                                      numbers=args.only)
-    except SpecFileError as exc:
-        raise _InputError(str(exc))
+    table, lines = run_acceptance(corpus_directory=args.corpus, seed=args.seed,
+                                  numbers=args.only)
     print(table.format_text())
     print()
     for line in lines:
@@ -313,7 +298,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_InputError, DomainError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

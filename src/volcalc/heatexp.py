@@ -18,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import gaussian_moment
-from .symcore import CoefficientField, DomainError, grid_points
+from .symcore import _METRIC_GRID_N, CoefficientField, DomainError, grid_points
 from .volterra import CausalKernel, OperatorSpec, _kernel_terms, operator_symbol, parametrix
 
 __all__ = ["HeatCoefficient", "HeatExpansion", "heat_coefficients"]
 
 MAX_INDEX = 8  # desk scale
-
-_GRID_N = 128
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ def heat_coefficients(op: OperatorSpec, max_index: int) -> HeatExpansion:
 
 def _heat_coefficients(op, max_index):
     """heat_coefficients, also returning {j: grid samples of q_j} for the
-    q_j that were projected from the _GRID_N-point grid (none for a
+    q_j that were projected from the _METRIC_GRID_N-point grid (none for a
     constant metric).
     """
     if max_index > MAX_INDEX:
@@ -83,7 +81,7 @@ def _heat_coefficients(op, max_index):
     res = parametrix(operator_symbol(op), max_index)
     constant_metric = op.metric.is_constant()
     g0 = op.metric.matrix_at((0.0,) * d) if constant_metric else None
-    points = None if constant_metric else grid_points(_GRID_N, d)
+    points = None if constant_metric else grid_points(_METRIC_GRID_N, d)
     entries, samples = [], {}
     for j in range(max_index + 1):
         piece = res.symbol.graded_piece(-2 - j)
@@ -96,7 +94,7 @@ def _heat_coefficients(op, max_index):
                 qj = qj + coeff.scale(factor)
         else:
             vals = CausalKernel.from_symbol(piece).diagonal_value(points, 1.0)
-            samples[j] = vals.reshape((_GRID_N,) * d)
+            samples[j] = vals.reshape((_METRIC_GRID_N,) * d)
             qj = CoefficientField.from_grid(samples[j])
         entries.append(HeatCoefficient(j, (j - d) / 2.0, qj))
     return HeatExpansion(d, entries, CoefficientField.zero(d), op.name), samples

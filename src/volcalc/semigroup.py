@@ -70,6 +70,8 @@ _ROW_BLOCK = 64
 
 _NONNEGATIVE_TOL = 1e-8  # least min_sym_eig that counts as nonnegative
 CONTOUR_VERTEX = -1.0  # the wedge contour is CONTOUR_VERTEX + s(1 +/- i)
+CONTOUR_TOL = 1e-8  # the contour heat's accuracy: against the reference, and the semigroup law
+_CONTOUR_REACH = 40.0  # default_quadrature's s_max is _CONTOUR_REACH / t for t < 1
 _LADDER_T0 = 0.15
 _LADDER_EXTRA = 6
 _LADDER_RESOLVE = 36.0
@@ -216,19 +218,16 @@ class ContourQuadrature:
     subdivides each panel accordingly.  At the default 420 nodes per ray
     with refine 2, and s_max from default_quadrature, accuracy is uniform
     over spectra in [0, 1e3] and t in [5e-3, 10].  The weights reach
-    e^{t |CONTOUR_VERTEX|} at the vertex, so rounding leaves no digit once
-    that times the float epsilon reaches 1 (t >= 36.04): such t are refused.
+    e^{t |CONTOUR_VERTEX|} at the vertex, and that times eps reaches CONTOUR_TOL
+    at t = 17.62: such t, and t whose reach 40/t overflows, are refused.
     """
 
     nodes_per_ray: int = 420
-    s_max: float = 40.0
+    s_max: float = _CONTOUR_REACH
     refine: int = 2
 
     def panel_edges(self, t):
-        t_max = -np.log(np.finfo(float).eps) / abs(CONTOUR_VERTEX)  # e^(t |vertex|) eps = 1
-        if not t < t_max:
-            raise DomainError(f"time {t:g} >= {t_max:.4g}: the contour weights reach "
-                              "e^(t |CONTOUR_VERTEX|), so rounding leaves no correct digit")
+        _require_contour_time(t)
         ucut = min(t * self.s_max, t + 45.0)
         s_eff = ucut / t
         edges = {0.0, s_eff}
@@ -261,9 +260,22 @@ class ContourQuadrature:
         return np.concatenate(s_all), np.concatenate(w_all)
 
 
+def _require_contour_time(t):
+    """DomainError unless the contour resolves exp(-t lam) to CONTOUR_TOL at time t."""
+    t_max = np.log(CONTOUR_TOL / np.finfo(float).eps) / abs(CONTOUR_VERTEX)  # e^t eps = tol
+    if not t > 0:
+        raise DomainError(f"time {t:g} is not positive")
+    if not np.isfinite(_CONTOUR_REACH / float(t)):
+        raise DomainError(f"time {t:g}: the contour reach {_CONTOUR_REACH:g}/t is not finite")
+    if not t < t_max:
+        raise DomainError(f"time {t:g} >= {t_max:.4g}: the rounding e^(t |CONTOUR_VERTEX|) * eps "
+                          f"of the contour weights exceeds CONTOUR_TOL = {CONTOUR_TOL:g}")
+
+
 def default_quadrature(t) -> ContourQuadrature:
     """The contour every caller uses: the default nodes, s_max = max(40, 40/t)."""
-    return ContourQuadrature(s_max=max(40.0, 40.0 / float(t)))
+    _require_contour_time(t)
+    return ContourQuadrature(s_max=max(_CONTOUR_REACH, _CONTOUR_REACH / float(t)))
 
 
 def _as_matrix(Q):
@@ -306,11 +318,10 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
     trigonometric coefficients is narrow (k = 2 for frequency-two
     coefficients in 1-D, 10 in 2-D at 81 modes).
     """
-    if not 0 < t < np.inf:
-        raise DomainError("time must be positive and finite")
+    _require_contour_time(t)
     quad = quad or default_quadrature(t)
     if quad.s_max < 10.0 / t:
-        raise ValueError(f"s_max={quad.s_max} too small for t={t}; need >= {10.0 / t}")
+        raise DomainError(f"s_max={quad.s_max} too small for t={t}; need >= {10.0 / t}")
     s, w = quad.nodes(t)
     lams = CONTOUR_VERTEX + s * (1.0 + 1j)
     coefs = w * np.exp(-t * lams) * (1.0 + 1j)

@@ -24,14 +24,14 @@ import json
 import math
 import os
 
-from .symcore import CoefficientField, QuadraticForm
+from .symcore import CoefficientField, DomainError, QuadraticForm
 from .volterra import OperatorSpec
 
 __all__ = ["SpecFileError", "load_operator_spec", "corpus_dir", "corpus_names",
            "load_corpus"]
 
 
-class SpecFileError(ValueError):
+class SpecFileError(DomainError):
     """Malformed operator spec file; message names the offending key."""
 
 

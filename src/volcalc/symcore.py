@@ -33,7 +33,7 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """Argument outside the mathematically admissible range."""
+    """Input volcalc refuses: an argument or spec file outside what it can carry."""
 
 
 class FormMismatchError(ValueError):
@@ -41,7 +41,7 @@ class FormMismatchError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Quadratic form fails the positivity floor on the validation grid."""
+    """Quadratic form below the positivity floor, or too oscillatory to check."""
 
 
 class SingularityError(ArithmeticError):
@@ -51,7 +51,9 @@ class SingularityError(ArithmeticError):
 _PRUNE_REL = 1e-13  # from_grid drops amplitudes <= this share of the largest
 _REAL_TOL = 1e-12  # relative tolerance of the reality condition
 _POSITIVITY_FLOOR = 1e-8  # least metric eigenvalue on the validation grid
-_POSITIVITY_GRID_N = 64  # validation grid points per dimension
+_POSITIVITY_GRID_N = 64  # least validation grid points per dimension
+_POINTS_PER_PERIOD = 8  # validation grid points per period of the highest metric frequency
+_METRIC_GRID_N = 128  # heat_coefficients' grid per dimension: the finest validation grid
 
 
 def multi_indices(dim: int, total: int):
@@ -171,10 +173,6 @@ class CoefficientField:
         return isinstance(other, CoefficientField) and self.dim == other.dim \
             and np.array_equal(self._box, other._box)
 
-    def __hash__(self):
-        # boxes are trimmed and hold no -0.0, so equal fields have equal bytes
-        return hash((self.dim, self._box.tobytes()))
-
     def __repr__(self):
         parts = [f"{c:.6g}*e^(i<{k},x>)" for k, c in self.amplitudes.items()]
         return "CoefficientField(" + (" + ".join(parts) if parts else "0") + ")"
@@ -222,20 +220,11 @@ class CoefficientField:
     # -- evaluation --------------------------------------------------------
 
     def _points(self, x):
-        a = np.asarray(x, dtype=float)
-        if a.ndim == 0:
-            if self.dim != 1:
-                raise ValueError("scalar point only valid for d=1")
-            return a.reshape(1, 1), True
-        if a.ndim == 1:
-            if a.shape[0] == self.dim:
-                return a.reshape(1, self.dim), True
-            if self.dim == 1:
-                return a.reshape(-1, 1), False
-            raise ValueError(f"point of length {a.shape[0]} for d={self.dim}")
+        """(N, d) points and whether x is one: a scalar (d = 1), a length-d vector."""
+        a = np.atleast_1d(np.asarray(x, dtype=float))
         if a.shape[-1] != self.dim:
-            raise ValueError("trailing axis must have length d")
-        return a.reshape(-1, self.dim), False
+            raise ValueError(f"point of length {a.shape[-1]} for d={self.dim}")
+        return a.reshape(-1, self.dim), a.ndim == 1
 
     def evaluate(self, x):
         """Evaluate at one point (complex scalar) or a batch (complex array).
@@ -323,8 +312,10 @@ class QuadraticForm:
 
     G(x)(xi, xi) = sum_ij g_ij(x) xi_i xi_j.  Checked once, when built: each
     entry is snapped exactly real (real_part), the array must be symmetric,
-    and its least eigenvalue on a uniform 64^d grid, kept as `min_eig`, must
-    reach the floor _POSITIVITY_FLOOR (symbolic positivity is out of reach).
+    and its least eigenvalue on a uniform n^d grid, n = max(64, 8K) for the
+    highest frequency K of the entries (K > 16, past heat_coefficients' 128
+    points, is refused), kept as `min_eig`, must reach the floor
+    _POSITIVITY_FLOOR (symbolic positivity is out of reach).
     """
 
     __slots__ = ("dim", "entries", "min_eig")
@@ -345,7 +336,11 @@ class QuadraticForm:
                     raise ValueError(f"g[{i}][{j}] and g[{j}][{i}] differ: "
                                      "form must be symmetric")
         self.entries = rows
-        mats = self.matrix_at(grid_points(_POSITIVITY_GRID_N, self.dim))
+        n = _POINTS_PER_PERIOD * max(e.max_freq() for row in rows for e in row)
+        if n > _METRIC_GRID_N:
+            raise NotPositiveDefiniteError(f"metric frequency {n // _POINTS_PER_PERIOD} needs a "
+                                           f"{n}-point grid; at most {_METRIC_GRID_N} resolve it")
+        mats = self.matrix_at(grid_points(max(_POSITIVITY_GRID_N, n), self.dim))
         self.min_eig = float(np.min(np.linalg.eigvalsh(mats)))
         if not self.min_eig >= _POSITIVITY_FLOOR:
             raise NotPositiveDefiniteError(

@@ -18,6 +18,7 @@ from .deform import ScaledFamily, homogeneity_defect, measure_scaling_check
 from .heatexp import heat_coefficients
 from .report import ReportTable
 from .semigroup import (
+    CONTOUR_TOL,
     default_quadrature,
     discretize,
     dunford_heat,
@@ -41,13 +42,12 @@ from .volterra import (
 
 __all__ = ["CRITERIA", "run_acceptance", "criterion_summary", "add_fit_diagnostics",
            "window_fit", "add_contour_node_rows", "defect_top_degree", "SEED", "APPROXIMANT_LAMS",
-           "CONTOUR_TOL", "CONTRACTION_TOL", "APPROXIMANT_TOL", "CAUSALITY_TOL", "HOMOGENEITY_TOL"]
+           "CONTRACTION_TOL", "APPROXIMANT_TOL", "CAUSALITY_TOL", "HOMOGENEITY_TOL"]
 
 Q0_FLAT_1D = (4.0 * np.pi) ** -0.5
 SEED = 2026  # the default seed: criterion n draws from default_rng(SEED + n)
 APPROXIMANT_LAMS = (10.0, 1e2, 1e3, 1e4)  # the bounded-approximant ladder of semigroup --check hy
 # tolerances that the criteria and the CLI share
-CONTOUR_TOL = 1e-8  # contour heat against the reference, and the semigroup law
 CONTRACTION_TOL = 1e-10  # ||E(t)||_2 - 1, of the contour heat and of the approximants
 APPROXIMANT_TOL = 1e-3  # the approximant error at lam = 1e4
 CAUSALITY_TOL = 1e-5  # causality_check's ratio, for each parametrix piece

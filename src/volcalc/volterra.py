@@ -225,14 +225,18 @@ def parametrix(p: ParabolicSymbol, depth: int) -> ParametrixResult:
             "principal piece must equal Lambda; build p via operator_symbol")
     q = lambda_power(p.form, -1)
     minus_lam_inv = lambda_power(p.form, -1, -1.0)
-    defect = sharp_exact(p, q) - lambda_power(p.form, 0)
-    for j in range(1, depth + 1):
-        comp = defect.graded_piece(-j)
-        if comp.is_zero():
-            continue
-        piece = minus_lam_inv * comp
-        q = q + piece
-        defect = defect + sharp_exact(p, piece)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            defect = sharp_exact(p, q) - lambda_power(p.form, 0)
+            for j in range(1, depth + 1):
+                comp = defect.graded_piece(-j)
+                if comp.is_zero():
+                    continue
+                piece = minus_lam_inv * comp
+                q = q + piece
+                defect = defect + sharp_exact(p, piece)
+    except FloatingPointError:
+        raise DomainError(f"parametrix depth {depth}: its coefficients overflow floats") from None
     top = max(defect.degrees(), default=-depth - 1)
     if top > -depth - 1:
         raise ArithmeticError(f"parametrix recursion left degree {top}")

@@ -4,11 +4,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from volcalc.cli import main
 from volcalc.report import ReportTable
-from volcalc.semigroup import default_quadrature
+from volcalc.semigroup import CONTOUR_TOL, CONTOUR_VERTEX, default_quadrature, discretize
 from volcalc.specfile import (
     SpecFileError,
     corpus_dir,
@@ -284,9 +286,13 @@ def test_cli_validate_out_byte_identical(tmp_path, capsys):
     ["deform", "--hbar", "1.5"],
     ["semigroup", "--t", "0"],
     ["semigroup", "--modes", "8", "--t", "inf"],
-    # e^t * eps reaches 1 at t = 36.04: the contour weights leave no digit
+    # e^t * eps reaches CONTOUR_TOL at t = 17.62 (the error is 9e-6 at t = 30
+    # on perturbed_metric), and 1 at t = 36.04
+    ["semigroup", "--modes", "8", "--t", "25"],
     ["semigroup", "--modes", "8", "--t", "40"],
     ["semigroup", "--modes", "8", "--t", "800"],
+    # the reach 40/t overflows
+    ["semigroup", "--modes", "8", "--t", "1e-320"],
     ["deform", "--lambda", "nan"],
     ["causality", "--grid", "4096,inf"],
     ["causality", "--grid", "4096,nan"],
@@ -294,7 +300,8 @@ def test_cli_validate_out_byte_identical(tmp_path, capsys):
     ["causality", "--grid", "4096,1e-310"],
     ["causality", "--depth", "2", "--grid", "4096,1e60"],
 ], ids=["J_above_8", "J_negative", "modes_below_4", "depth_negative", "hbar_above_1",
-        "t_zero", "t_infinite", "t_past_contour_bound", "t_far_past_contour_bound",
+        "t_zero", "t_infinite", "t_past_contour_tolerance", "t_past_contour_bound",
+        "t_far_past_contour_bound", "t_reach_overflows",
         "lambda_nan", "tau_max_infinite", "tau_max_nan", "tau_max_huge",
         "tau_step_subnormal", "tau_grid_too_coarse"])
 def test_cli_out_of_range_argument_exit_2(argv, capsys):
@@ -316,6 +323,92 @@ def test_cli_input_error_message_exit_2(argv, message, capsys):
     assert main(argv + ["--op", FLAT_1D]) == 2
     captured = capsys.readouterr()
     assert captured.err == message and captured.out == ""
+
+
+def _aliased_metric(freq, amplitude):
+    # g11 = 1 + 2 Re(amplitude e^{i freq x})
+    return {"name": f"aliased_{freq}", "dim": 1,
+            "g": [{"i": 0, "j": 0, "freq": [0], "re": 1.0},
+                  {"i": 0, "j": 0, "freq": [freq], "re": amplitude.real, "im": amplitude.imag},
+                  {"i": 0, "j": 0, "freq": [-freq], "re": amplitude.real,
+                   "im": -amplitude.imag}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    # 1 + 1.05 sin 64x reads min_eig 1.0 on a 64-point grid
+    (_aliased_metric(64, -0.525j),
+     "error: key 'g': metric frequency 64 needs a 512-point grid; at most 128 resolve it\n"),
+    # 1 + 1.05 cos(16x + pi/4) reads 0.258 on 64 points, -0.050 on 128
+    (_aliased_metric(16, 0.525 * np.exp(1j * np.pi / 4)),
+     "error: key 'g': min eigenvalue -5.000e-02 below floor 1.0e-08\n"),
+], ids=["sin_64x", "cos_16x"])
+def test_cli_metric_negative_between_grid_points_exit_2(doc, message, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["heat-coeffs", "--J", "2"], ["parametrix", "--depth", "2"]):
+        assert main(argv + ["--op", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+
+
+def test_cli_parametrix_depth_that_overflows_exit_2(tmp_path, capsys):
+    # V = 2e200 cos x: the depth-4 piece would carry V^2 = 4e400
+    doc = {"dim": 1, "g": [{"i": 0, "j": 0, "freq": [0], "re": 1}],
+           "V": [{"freq": [1], "re": 1e200}, {"freq": [-1], "re": 1e200}]}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    assert main(["parametrix", "--op", str(path), "--depth", "3"]) == 0
+    capsys.readouterr()
+    for command in ("parametrix", "causality"):
+        assert main([command, "--op", str(path), "--depth", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: parametrix depth 4: its coefficients overflow floats\n"
+
+
+def _report(path):
+    return {r["quantity"]: r for r in json.loads(path.read_text())["rows"]}
+
+
+def test_cli_semigroup_contraction_rows(tmp_path, capsys):
+    # ||E(t)||_2 of the contour heat against the dense exponential
+    path = tmp_path / "contraction.json"
+    assert main(["semigroup", "--op", METRIC_1D, "--modes", "8", "--check", "contraction",
+                 "--out", str(path)]) == 0
+    rows = _report(path)
+    Q = discretize(load_operator_spec(METRIC_1D), 8).matrix
+    for t in (0.3, 0.7, 1.0):
+        row = rows[f"||E({t})||_2"]
+        assert abs(row["numeric"] - np.linalg.norm(expm(-t * Q), 2)) <= CONTOUR_TOL
+        assert row["error"] == row["numeric"] - 1.0 and row["pass"] is True
+
+
+def test_cli_semigroup_hy_rows(tmp_path, capsys):
+    # flat Laplacian, eigenvalues k^2: exp(-Q_lam) has eigenvalues
+    # exp(-lam k^2 / (lam + k^2)), so each error is a maximum over k
+    path = tmp_path / "hy.json"
+    assert main(["semigroup", "--op", FLAT_1D, "--modes", "8", "--check", "hy",
+                 "--out", str(path)]) == 0
+    k2 = np.arange(-8, 9) ** 2.0
+    errs = [np.max(np.abs(np.exp(-lam * k2 / (lam + k2)) - np.exp(-k2)))
+            for lam in (10.0, 1e2, 1e3, 1e4)]
+    rows = _report(path)
+    assert rows["approximant errors over lam = 10..1e4"]["numeric"] == \
+        "; ".join(f"{e:.3e}" for e in errs)
+    last = rows["approximant error at lam = 1e4"]
+    assert abs(last["numeric"] - errs[-1]) <= 1e-12 and last["pass"] is True
+
+
+def test_cli_semigroup_resolvent_row(tmp_path, capsys):
+    # flat Laplacian: ||(Q - lam)^-1||_2 = 1 / min_k |k^2 - lam|
+    path = tmp_path / "resolvent.json"
+    assert main(["semigroup", "--op", FLAT_1D, "--modes", "8", "--check", "resolvent",
+                 "--out", str(path)]) == 0
+    s = np.linspace(0.3, 30.0, 25)
+    lams = CONTOUR_VERTEX + np.concatenate([s * (1 + 1j), s * (1 - 1j)])
+    k2 = np.arange(-8, 9) ** 2.0
+    expect = max((1 + abs(lam.imag)) / np.min(np.abs(k2 - lam)) for lam in lams)
+    row = _report(path)["max ||(Q - lam)^-1|| (1 + |Im lam|) on the contour"]
+    assert abs(row["numeric"] - expect) <= 1e-14 * expect and row["pass"] is True
 
 
 def test_cli_contraction_of_negative_operator_exit_2(tmp_path, capsys):

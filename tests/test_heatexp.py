@@ -232,7 +232,7 @@ def test_constant_coefficient_exactness():
 def test_variable_metric_q0_closed_form():
     he = heat_coefficients(CORPUS["perturbed_metric"], 2)
     xs = np.linspace(0, 2 * np.pi, 17)
-    got = he.coefficient(0).evaluate(xs).real
+    got = he.coefficient(0).evaluate(xs[:, None]).real
     expect = Q0 / np.sqrt(1 + 0.5 * np.cos(xs))
     assert np.max(np.abs(got - expect)) < 1e-10
 
@@ -297,13 +297,15 @@ def test_diagonal_value_factorises_the_metric_once(monkeypatch):
 
 
 def test_batched_diagonal_value_keeps_form_checks():
-    # g = 1 + 2 cos 64x reads 3 on the 64-point floor grid, so the form is
-    # built, and -1 at x = pi/64, between two grid points
-    g = CoefficientField.constant(1, 1.0) + cosine(1, (64,), 2.0)
+    # g = 1 + 1.05 cos(16x + pi/8) reads 1 - 1.05 cos(pi/8) = 0.030 on its
+    # 128-point grid (8 points per period), so the form is built, and -0.05
+    # at x = 7 pi/128, between two grid points
+    c = 0.525 * np.exp(1j * np.pi / 8)
+    g = CoefficientField(1, {0: 1.0, 16: c, -16: np.conj(c)})
     form = QuadraticForm([[g]])
-    assert form.min_eig == pytest.approx(3.0)
-    bad = np.pi / 64
-    assert g.evaluate(bad).real == pytest.approx(-1.0)
+    assert form.min_eig == pytest.approx(1.0 - 1.05 * np.cos(np.pi / 8))
+    bad = 7 * np.pi / 128
+    assert g.evaluate(bad).real == pytest.approx(-0.05)
     kern = CausalKernel.from_symbol(lambda_power(form, -1))
     pts = np.vstack([grid_points(16, 1), [[bad]]])
     kern.diagonal_value(pts[:-1], 1.0)  # every grid point is fine
@@ -330,7 +332,7 @@ def test_projection_certificate_reads_the_coarse_grid_off_the_fine_samples(
         op, max_index, monkeypatch):
     he, samples = _heat_coefficients(op, max_index)
     rows = _projection_certificate(he, samples)
-    monkeypatch.setattr(heatexp, "_GRID_N", 64)
+    monkeypatch.setattr(heatexp, "_METRIC_GRID_N", 64)
     coarse, coarse_samples = _heat_coefficients(op, max_index)
     assert samples.keys() == coarse_samples.keys()
     for j, vals in samples.items():  # every other 128-point sample, bit for bit
@@ -360,7 +362,6 @@ def test_fit_oracle_agreement_drift_and_metric():
 
     heM = heat_coefficients(CORPUS["perturbed_metric"], 2)
     fitM = fit_diagonal_expansion(CORPUS["perturbed_metric"], times, 6, n_x=16)
-    xs = fitM.x_grid[:, 0]
-    sym = heM.coefficient(0).evaluate(xs).real
+    sym = heM.coefficient(0).evaluate(fitM.x_grid).real
     got = fitM.coefficients[:, 0]
     assert np.max(np.abs(got - sym)) <= 0.02 * np.max(np.abs(sym))

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from volcalc import semigroup
 from volcalc.semigroup import (
+    CONTOUR_TOL,
     CONTOUR_VERTEX,
     ContourQuadrature,
     SpectrumSampleError,
@@ -520,17 +521,37 @@ def test_dunford_rejects_undersized_contour():
 
 
 def test_contour_refuses_a_time_whose_weights_leave_no_digit():
-    # the vertex -1 weighs the integrand by up to e^t, and e^t * eps reaches 1
-    # at t = ln 2^52 = 36.04; the panel count also grows like t / 2
-    for t in (40.0, 1e4):
-        with pytest.raises(DomainError, match="no correct digit"):
+    # the vertex -1 weighs the integrand by up to e^t, and e^t * eps reaches
+    # CONTOUR_TOL at t = ln(1e-8 / 2^-52) = 17.62 (and 1 at 36.04); the panel
+    # count also grows like t / 2
+    for t in (17.7, 20.0, 40.0, 1e4):
+        with pytest.raises(DomainError, match="weights exceeds CONTOUR_TOL"):
             default_quadrature(t).nodes(t)
-    with pytest.raises(DomainError, match="no correct digit"):
-        dunford_heat(np.array([[1.0]]), 40.0)
-    # below the bound the error stays under e^t * eps
-    for t in (10.0, 20.0, 30.0, 36.0):
+        with pytest.raises(DomainError, match="weights exceeds CONTOUR_TOL"):
+            ContourQuadrature().nodes(t)
+    with pytest.raises(DomainError, match="weights exceeds CONTOUR_TOL"):
+        dunford_heat(np.array([[1.0]]), 20.0)
+    # below the bound the error stays under e^t * eps, so under CONTOUR_TOL
+    for t in (5.0, 10.0, 15.0, 17.6):
         E = dunford_heat(np.array([[1.0]]), t)
-        assert abs(E[0, 0] - np.exp(-t)) <= np.exp(t) * np.finfo(float).eps
+        assert abs(E[0, 0] - np.exp(-t)) <= np.exp(t) * np.finfo(float).eps < CONTOUR_TOL
+
+
+@pytest.mark.parametrize("t, message", [
+    (0.0, "time 0 is not positive"),
+    (-1.0, "time -1 is not positive"),
+    (float("nan"), "time nan is not positive"),
+    (1e-320, "the contour reach 40/t is not finite"),
+], ids=["zero", "negative", "nan", "reach_overflows"])
+def test_contour_refuses_a_time_below_its_range(t, message):
+    # each entry point reaches the one time check before it divides by t,
+    # a quadrature passed in included
+    for call in (lambda: dunford_heat(np.array([[1.0]]), t, ContourQuadrature()),
+                 lambda: dunford_heat(np.array([[1.0]]), t),
+                 lambda: default_quadrature(t),
+                 lambda: ContourQuadrature().panel_edges(t)):
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def test_field_arithmetic_and_reality():
     f = cosine(1, (1,)) + CoefficientField.constant(1, 2.0)
     assert f.real_part("f") is f  # exactly real: no new field
     xs = np.linspace(0, 2 * np.pi, 9)
-    vals = f.evaluate(xs)
+    vals = f.evaluate(xs[:, None])  # a batch of 1-D points is (N, 1)
     assert np.allclose(vals, 2.0 + np.cos(xs))
     # real to 1e-12 relative: snapped to c_{-k} = conj(c_k) exactly
     near = CoefficientField(1, {0: 2.0 + 1e-13j, 1: 0.5 + 1e-13j, -1: 0.5 - 2e-13j})
@@ -50,14 +50,14 @@ def test_field_arithmetic_and_reality():
     with pytest.raises(ValueError, match="g must be real-valued"):
         g.real_part("g")
     prod = f * g
-    assert np.allclose(prod.evaluate(xs), (2.0 + np.cos(xs)) * np.exp(1j * xs))
+    assert np.allclose(prod.evaluate(xs[:, None]), (2.0 + np.cos(xs)) * np.exp(1j * xs))
 
 
 def test_field_derivative_and_periodicity():
     f = sine(1, (3,), 2.0)
     df = f.deriv(0)
     xs = np.linspace(0, 2 * np.pi, 11)
-    assert np.allclose(df.evaluate(xs), 6.0 * np.cos(3 * xs))
+    assert np.allclose(df.evaluate(xs[:, None]), 6.0 * np.cos(3 * xs))
     assert abs(f.evaluate(0.3) - f.evaluate(0.3 + 2 * np.pi)) < 1e-12
 
 
@@ -77,15 +77,24 @@ def test_field_cancellation_trims_the_box():
     f = (cos3 + one) + (-cos3)
     assert f == one
     assert f.max_freq() == 0
-    assert hash(f) == hash(one)
+    assert f._box.tobytes() == one._box.tobytes()
     assert one - one == CoefficientField.zero(1)
 
 
-def test_equal_fields_hash_equal_across_signed_zero():
+def test_equal_fields_have_equal_bytes_across_signed_zero():
     # scaling by -1.0 turns the zero imaginary parts into -0.0
     a = CoefficientField(1, {1: 1.0, -1: 1.0}).scale(-1.0)
     b = CoefficientField(1, {1: -1.0, -1: -1.0})
-    assert len({a, b}) == 1
+    assert a == b and a._box.tobytes() == b._box.tobytes()
+
+
+def test_fields_are_unhashable_and_take_points_as_rows():
+    f = cosine(1, (1,))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(f)
+    assert f.evaluate(np.array([0.0])) == f.evaluate(0.0)  # one 1-D point
+    with pytest.raises(ValueError, match="point of length 2 for d=1"):
+        f.evaluate(np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -235,6 +244,24 @@ def test_form_positivity_floor():
     g = CoefficientField.constant(1, 1.0) + cosine(1, (1,), 1.5)
     with pytest.raises(NotPositiveDefiniteError):
         QuadraticForm([[g]])
+
+
+def test_form_positivity_grid_follows_the_highest_frequency():
+    # n = max(64, 8K) points per axis: 1 + 1.05 cos(16x + pi/4), least value
+    # -0.05, reads 0.258 on the 64-point grid and -0.050 on its 128 points
+    c = 0.525 * np.exp(1j * np.pi / 4)
+    aliased = CoefficientField(1, {0: 1.0, 16: c, -16: np.conj(c)})
+    with pytest.raises(NotPositiveDefiniteError, match="min eigenvalue -5.000e-02"):
+        QuadraticForm([[aliased]])
+    # K = 17 needs more points than heat_coefficients' 128-point grid
+    fast = CoefficientField.constant(1, 1.0) + cosine(1, (17,), 0.1)
+    with pytest.raises(NotPositiveDefiniteError, match="frequency 17 needs a 136-point grid"):
+        QuadraticForm([[fast]])
+    # K <= 8 keeps the 64-point grid
+    for G in (perturbed_form(), QuadraticForm([[CoefficientField.constant(1, 1.0)
+                                                 + cosine(1, (8,), 0.5)]])):
+        floor = np.linalg.eigvalsh(G.matrix_at(grid_points(64, 1))).min()
+        assert G.min_eig == floor
 
 
 def test_form_value_and_derivative():

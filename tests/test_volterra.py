@@ -273,7 +273,7 @@ def test_sharp_sum_leaves_its_inputs_and_their_derivatives_unchanged(monkeypatch
     seen = {}
 
     def snapshot(q):
-        seen.setdefault(id(q), (q, [(c._box.tobytes(), hash(c)) for c in q._terms.values()]))
+        seen.setdefault(id(q), (q, [c._box.tobytes() for c in q._terms.values()]))
 
     def recorded(q, cache, alpha, kind):
         out = _derivative_chain(q, cache, alpha, kind)
@@ -288,7 +288,7 @@ def test_sharp_sum_leaves_its_inputs_and_their_derivatives_unchanged(monkeypatch
         _sharp(q1, q2, depth)
         assert len(seen) > 2
         for q, before in seen.values():
-            assert [(c._box.tobytes(), hash(c)) for c in q._terms.values()] == before
+            assert [c._box.tobytes() for c in q._terms.values()] == before
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +357,16 @@ def test_parametrix_shape_guard():
     for p in (bad, off):
         with pytest.raises(ParametrixShapeError):
             parametrix(p, 2)
+
+
+def test_parametrix_refuses_coefficients_that_overflow():
+    # V = 2e200 cos x: q_{-4} carries V and q_{-6} would carry V^2 = 4e400
+    op = OperatorSpec(FLAT1, (CoefficientField.zero(1),), cosine(1, (1,), 2e200))
+    p = operator_symbol(op)
+    assert np.isfinite(parametrix(p, 3).symbol.coeff_norm())
+    with pytest.raises(DomainError, match="parametrix depth 4: its coefficients "
+                                          "overflow floats"):
+        parametrix(p, 4)
 
 
 def test_parametrix_defect_keys_are_in_canonical_order():
