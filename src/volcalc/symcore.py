@@ -314,8 +314,10 @@ class QuadraticForm:
     entry is snapped exactly real (real_part), the array must be symmetric,
     and its least eigenvalue on a uniform n^d grid, n = max(64, 8K) for the
     highest frequency K of the entries (K > 16, past heat_coefficients' 128
-    points, is refused), kept as `min_eig`, must reach the floor
-    _POSITIVITY_FLOOR (symbolic positivity is out of reach).
+    points, is refused), is kept as `min_eig`.  That minimum less
+    (h^2 / 8) sum_k ||C_k||_2 |k|^2, h = 2 pi / n and C_k the amplitude
+    matrix at frequency k, bounds the least eigenvalue everywhere (see
+    _curvature), and must reach the floor _POSITIVITY_FLOOR.
     """
 
     __slots__ = ("dim", "entries", "min_eig")
@@ -340,12 +342,28 @@ class QuadraticForm:
         if n > _METRIC_GRID_N:
             raise NotPositiveDefiniteError(f"metric frequency {n // _POINTS_PER_PERIOD} needs a "
                                            f"{n}-point grid; at most {_METRIC_GRID_N} resolve it")
-        mats = self.matrix_at(grid_points(max(_POSITIVITY_GRID_N, n), self.dim))
-        self.min_eig = float(np.min(np.linalg.eigvalsh(mats)))
-        if not self.min_eig >= _POSITIVITY_FLOOR:
+        n = max(_POSITIVITY_GRID_N, n)
+        self.min_eig = float(np.min(np.linalg.eigvalsh(self.matrix_at(grid_points(n, self.dim)))))
+        certified = self.min_eig - (2.0 * np.pi / n) ** 2 / 8.0 * self._curvature()
+        if not certified >= _POSITIVITY_FLOOR:
             raise NotPositiveDefiniteError(
-                f"min eigenvalue {self.min_eig:.3e} below floor {_POSITIVITY_FLOOR:.1e}"
-            )
+                f"min eigenvalue {self.min_eig:.3e} on the {n}-point grid, certified "
+                f"{certified:.3e} between its points, below floor {_POSITIVITY_FLOOR:.1e}")
+
+    def _curvature(self):
+        """sum_k ||C_k||_2 |k|^2 over the amplitude matrices C_k of the entries.
+
+        It bounds sum_i ||d_i^2 G||_2, so on a grid of step h the multilinear
+        interpolant of G is within (h^2 / 8) times it of G in the spectral
+        norm; as lambda_min is concave, the least eigenvalue between the grid
+        points is at least the least one on them minus that.
+        """
+        amps = {}
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                for k, c in e.amplitudes.items():
+                    amps.setdefault(k, np.zeros((self.dim, self.dim), dtype=complex))[i, j] = c
+        return sum(np.linalg.norm(C, 2) * sum(ki * ki for ki in k) for k, C in amps.items())
 
     @classmethod
     def flat(cls, dim):

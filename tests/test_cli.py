@@ -340,8 +340,14 @@ def _aliased_metric(freq, amplitude):
      "error: key 'g': metric frequency 64 needs a 512-point grid; at most 128 resolve it\n"),
     # 1 + 1.05 cos(16x + pi/4) reads 0.258 on 64 points, -0.050 on 128
     (_aliased_metric(16, 0.525 * np.exp(1j * np.pi / 4)),
-     "error: key 'g': min eigenvalue -5.000e-02 below floor 1.0e-08\n"),
-], ids=["sin_64x", "cos_16x"])
+     "error: key 'g': min eigenvalue -5.000e-02 on the 128-point grid, certified "
+     "-1.310e-01 between its points, below floor 1.0e-08\n"),
+    # 1 + 1.05 cos(16x + pi/8) reads 0.030 on its 128 points and is -0.05 at
+    # x = 7 pi/128, between two of them: only the certified bound sees it
+    (_aliased_metric(16, 0.525 * np.exp(1j * np.pi / 8)),
+     "error: key 'g': min eigenvalue 2.993e-02 on the 128-point grid, certified "
+     "-5.104e-02 between its points, below floor 1.0e-08\n"),
+], ids=["sin_64x", "cos_16x", "cos_16x_pi_8"])
 def test_cli_metric_negative_between_grid_points_exit_2(doc, message, tmp_path, capsys):
     path = tmp_path / "op.json"
     path.write_text(json.dumps(doc))

@@ -8,13 +8,14 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 
-from volcalc import heatexp
+from volcalc import heatexp, symcore
 from volcalc.heatexp import _heat_coefficients, _projection_certificate, heat_coefficients
 from volcalc.moments import _gaussian_factors, central_moment, gaussian_moment
 from volcalc.specfile import load_corpus
 from volcalc.symcore import (
     CoefficientField,
     DomainError,
+    NotPositiveDefiniteError,
     QuadraticForm,
     grid_points,
     lambda_power,
@@ -296,12 +297,16 @@ def test_diagonal_value_factorises_the_metric_once(monkeypatch):
     assert np.array_equal(got, expect)
 
 
-def test_batched_diagonal_value_keeps_form_checks():
+def test_batched_diagonal_value_keeps_form_checks(monkeypatch):
     # g = 1 + 1.05 cos(16x + pi/8) reads 1 - 1.05 cos(pi/8) = 0.030 on its
-    # 128-point grid (8 points per period), so the form is built, and -0.05
-    # at x = 7 pi/128, between two grid points
+    # 128-point grid (8 points per period) and -0.05 at x = 7 pi/128, between
+    # two grid points; the form's certified bound refuses it, so it is built
+    # under a lowered floor to reach diagonal_value's own per-point check
     c = 0.525 * np.exp(1j * np.pi / 8)
     g = CoefficientField(1, {0: 1.0, 16: c, -16: np.conj(c)})
+    with pytest.raises(NotPositiveDefiniteError, match="certified -5.104e-02"):
+        QuadraticForm([[g]])
+    monkeypatch.setattr(symcore, "_POSITIVITY_FLOOR", -1.0)
     form = QuadraticForm([[g]])
     assert form.min_eig == pytest.approx(1.0 - 1.05 * np.cos(np.pi / 8))
     bad = 7 * np.pi / 128
@@ -365,3 +370,29 @@ def test_fit_oracle_agreement_drift_and_metric():
     sym = heM.coefficient(0).evaluate(fitM.x_grid).real
     got = fitM.coefficients[:, 0]
     assert np.max(np.abs(got - sym)) <= 0.02 * np.max(np.abs(sym))
+
+
+LADDER_GATES = {0: 1e-11, 2: 5e-8}  # relative to max |q_j|
+
+
+@pytest.mark.parametrize("name", ["cosine_potential", "perturbed_metric"])
+def test_dyadic_ladder_reads_q0_and_q2_off_the_oracle_diagonal(name):
+    # criterion 3's times and cutoff: the ladder of the spectral diagonal
+    # f(t) = t^(d/2) diag(x, t) without the stage s = j/2, divided by the same
+    # ladder of t^(j/2), reads q_j; it must match the symbolic coefficients
+    from volcalc import semigroup
+
+    op = CORPUS[name]
+    J = 4
+    stages = [j / 2.0 for j in range(J + semigroup._LADDER_EXTRA)]
+    times = semigroup._LADDER_T0 * 2.0 ** (-np.arange(len(stages) + 1.0))
+    n = semigroup.resolution_cutoff(op, times.min(), semigroup._LADDER_RESOLVE)
+    diag, grid = semigroup.heat_diagonal(semigroup.discretize(op, n), times, n_x=16)
+    f = diag * (times ** (op.dim / 2.0))[:, None]
+    he = heat_coefficients(op, 8)
+    for j, gate in LADDER_GATES.items():
+        kept = [s for s in stages if s != j / 2.0]
+        got = (semigroup._ladder(f, kept)
+               / semigroup._ladder((times ** (j / 2.0))[:, None], kept)[0])
+        want = he.coefficient(j).evaluate(grid).real
+        assert np.max(np.abs(got - want)) <= gate * np.max(np.abs(want)), j

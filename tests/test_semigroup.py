@@ -741,7 +741,7 @@ def test_heat_diagonal_real_basis_matches_expm(name, monkeypatch):
     assert disc.is_hermitian == hermitian
     assert np.array_equal(disc.matrix[::-1, ::-1], disc.matrix.conj())
     ref = _expm_diagonal(disc, DENSE_HEAT_TIMES, n_x)
-    # the real form is eigen-decomposed: no complex eig or eigh is made
+    # the heat series runs on the real form: no complex eig or eigh is made
     monkeypatch.setattr(np.linalg, "eig", _refuse_complex(np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigh", _refuse_complex(np.linalg.eigh))
     diag, _ = heat_diagonal(disc, DENSE_HEAT_TIMES, n_x=n_x)
@@ -760,13 +760,79 @@ def test_heat_diagonal_refuses_a_matrix_without_mirror_symmetry():
 
 def test_heat_diagonal_tests_symmetry_not_the_stored_flag():
     # drift_shift's dense matrix (the drift 2 d/dx) is not Hermitian; flagged
-    # Hermitian by hand, it must still not take the symmetric eigensolver
+    # Hermitian by hand, its heat diagonal must still follow the matrix, whose
+    # complex eigenvalues make the series' T_k(S) w grow with k
     base = discretize(CORPUS["drift_shift"], 12)
     disc = semigroup.DiscretizedOperator(base.n, 1, base.freqs, True, _matrix=base.matrix)
     times = [0.1, 0.3]
     ref, _ = heat_diagonal(base, times, n_x=8)  # constant coefficients: the diagonal path
     diag, _ = heat_diagonal(disc, times, n_x=8)
     assert np.max(np.abs(diag - ref) / np.abs(ref)) <= 1e-12
+
+
+def _drift_dominated_op():
+    """Flat metric, b = 2 + 0.5 cos x, V = cos x: eigenvalues near k^2 + 2ik."""
+    drift = CoefficientField.constant(1, 2.0) + cosine(1, (1,), 0.5)
+    return OperatorSpec(QuadraticForm.flat(1), (drift,), cosine(1, (1,)), "drift_dominated")
+
+
+def test_heat_diagonal_series_matches_expm_on_a_complex_spectrum():
+    disc = discretize(_drift_dominated_op(), 16)
+    assert np.max(np.abs(disc.eigenvalues.imag)) > 10.0
+    times = [0.05, 0.3, 1.0]
+    ref = _expm_diagonal(disc, times, 8)
+    diag, _ = heat_diagonal(disc, times, n_x=8)
+    assert np.max(np.abs(diag - ref) / np.abs(ref)) <= 1e-12
+
+
+def test_heat_diagonal_makes_no_eigendecomposition_or_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("heat_diagonal called a dense eigensolver or solve")
+
+    discs = [discretize(_drift_dominated_op(), 16),
+             discretize(_real_coefficient_op("hermitian_1d"), 12)]
+    for name in ("eig", "eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for disc in discs:
+        diag, _ = heat_diagonal(disc, DENSE_HEAT_TIMES, n_x=8)
+        assert np.all(np.isfinite(diag)) and np.all(diag > 0)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.3, 2.0])
+def test_chebyshev_coefficients_sum_to_the_endpoint_values(t):
+    lo, hi = -1.5, 2.5  # z = 2t: the sums cancel little
+    c = semigroup._chebyshev_coefficients([t], lo, hi, 80)[0]
+    scale = np.exp(-t * lo)
+    assert abs(c.sum() - np.exp(-t * hi)) <= 1e-14 * scale  # T_k(1) = 1
+    assert abs(np.sum(c * (-1.0) ** np.arange(80)) - scale) <= 1e-14 * scale  # T_k(-1)
+
+
+def test_chebyshev_coefficients_match_the_bessel_power_series():
+    from math import factorial
+
+    lo = 0.7
+    for z in (1e-3, 0.1, 0.5, 1.0):
+        t = 1.0
+        c = semigroup._chebyshev_coefficients([t], lo, lo + 2.0 * z, 30)[0]
+        for k in range(10):  # the ratios' rounding adds up over k
+            bessel = sum((z / 2.0) ** (2 * m + k) / (factorial(m) * factorial(m + k))
+                         for m in range(30))  # I_k(z)
+            want = (2.0 - (k == 0)) * (-1.0) ** k * np.exp(-t * lo - z) * bessel
+            assert abs(c[k] - want) <= 1e-14 * abs(want), (z, k)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+def test_heat_diagonal_refuses_a_time_that_is_not_positive_and_finite(t):
+    for disc in (discretize(_drift_dominated_op(), 8), discretize(CORPUS["flat_laplacian_1d"], 8)):
+        with pytest.raises(DomainError, match="positive and finite"):
+            heat_diagonal(disc, [0.1, t], n_x=4)
+
+
+def test_heat_series_raises_instead_of_truncating(monkeypatch):
+    disc = discretize(_drift_dominated_op(), 16)
+    monkeypatch.setattr(semigroup, "_SERIES_TOL", 0.0)  # only a zero term is small enough now
+    with pytest.raises(ArithmeticError, match="did not settle"):
+        heat_diagonal(disc, [0.3], n_x=4)
 
 
 def _near_real_drift_doc(eps):
