@@ -15,8 +15,8 @@ contour resolvents into the upper ray's, so one ray is solved, without
 eigenvalues: an operator stored as its diagonal costs O(n) per node; a
 Hermitian matrix is reduced once to a real symmetric tridiagonal T, and the
 closed-form inverse of T - lam is evaluated for every node at once on
-(n, nodes) arrays; any other takes one banded LU solve (LAPACK zgbsv) per
-node over its exact band.
+(n, nodes) arrays; any other is reduced once to its complex Schur form
+Z T Z^H and takes one triangular inverse (LAPACK ztrtri) of T - lam per node.
 
 The heat diagonal behind the fits and the log ladder uses real arithmetic
 and no eigenvalues: the matrix is taken by indexing to the real basis
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigvalsh_tridiagonal, expm, hessenberg
-from scipy.linalg.lapack import zgbsv
+from scipy.linalg import eigvalsh_tridiagonal, expm, hessenberg, schur
+from scipy.linalg.lapack import ztrtri
 
 from .symcore import DomainError, grid_points
 
@@ -100,7 +100,7 @@ class DiscretizedOperator:
     than enforced: the semigroup-theoretic checks (contractivity, bounded
     approximants) require it, plain heat diagonals do not.  Its measure,
     min_sym_eig, is computed on first read (a dense eigvalsh) and cached, and
-    so are the eigenvalues that dunford_heat's banded route tests.
+    so is the complex Schur form that dunford_heat's non-Hermitian route sums on.
 
     `freqs` is the (size, d) int array of the basis frequencies k, in
     lexicographic order (the last coordinate varies fastest); row and column
@@ -115,7 +115,7 @@ class DiscretizedOperator:
     diagonal: np.ndarray | None = None
     _matrix: np.ndarray | None = None
     name: str = "operator"
-    _eigenvalues: np.ndarray | None = None
+    _schur: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def size(self):
@@ -134,11 +134,11 @@ class DiscretizedOperator:
         return self._min_sym_eig
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the matrix (a dense eigvals)."""
-        if self._eigenvalues is None:
-            self._eigenvalues = np.linalg.eigvals(self.matrix)
-        return self._eigenvalues
+    def schur_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T, Z) with matrix = Z T Z^H, T upper triangular and Z unitary (complex Schur)."""
+        if self._schur is None:
+            self._schur = schur(self.matrix, output="complex")
+        return self._schur
 
     @property
     def matrix(self):
@@ -307,20 +307,18 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
        R(conj lam) = R(lam)^H gives E = Z (X - X^H) Z^H.
     2. Q[::-1, ::-1] == conj(Q), as for every Galerkin matrix of an operator
        with real coefficients (reversing the lexicographic freqs maps k to
-       -k), so the band is (k, k), k the exact half-width of Q's nonzero
-       entries: one banded LU solve (LAPACK zgbsv) per upper-ray node, and
-       R(conj lam) is R(lam) conjugated and reversed, so
-       E = X - conj(X)[::-1, ::-1].
+       -k): Q = Z T Z^H in complex Schur form (schur_form, cached on a
+       DiscretizedOperator), one triangular inverse of T - lam per upper-ray
+       node (_triangular_ray_sum, O(n^3 / 3) per node), and R(conj lam) is
+       R(lam) conjugated and reversed, so with Y = Z X Z^H,
+       E = Y - conj(Y)[::-1, ::-1].
 
     Any other Q raises DomainError; a matrix Hermitian only up to rounding
     is symmetrised first, 0.5 * (Q + Q^H).  So does a spectrum outside the
     wedge |Im z| < Re z - CONTOUR_VERTEX that the contour encloses, where the
     sum would be exp(-tQ) times a spectral projector.  Each route tests its
     own spectrum exactly: the diagonal's entries, the least eigenvalue of T
-    (eigvalsh_tridiagonal), or the eigenvalues of Q (np.linalg.eigvals,
-    cached on a DiscretizedOperator).  The band of a Galerkin matrix of
-    trigonometric coefficients is narrow (k = 2 for frequency-two
-    coefficients in 1-D, 10 in 2-D at 81 modes).
+    (eigvalsh_tridiagonal), or the diagonal of the Schur factor T.
     """
     _require_contour_time(t)
     quad = quad or default_quadrature(t)
@@ -339,11 +337,10 @@ def dunford_heat(Q, t, quad: ContourQuadrature | None = None) -> np.ndarray:
         total = Z @ (X - X.conj().T) @ Z.conj().T
     else:
         _require_mirror_symmetric(A)
-        _require_inside_contour(Q.eigenvalues if isinstance(Q, DiscretizedOperator)
-                                else np.linalg.eigvals(A))
-        k = _bandwidth(A)
-        X = _ray_sum(_band_storage(A, k), k, lams, coefs)
-        total = X - X[::-1, ::-1].conj()
+        T, Z = Q.schur_form if isinstance(Q, DiscretizedOperator) else schur(A, output="complex")
+        _require_inside_contour(T.diagonal())
+        Y = Z @ _triangular_ray_sum(T, lams, coefs) @ Z.conj().T
+        total = Y - Y[::-1, ::-1].conj()
     return total / (2j * np.pi)
 
 
@@ -401,31 +398,6 @@ def _real_form(A):
     ])
 
 
-def _bandwidth(A):
-    """k = max |i - j| over A's nonzero entries: the half-width of its band."""
-    rows, cols = np.nonzero(A)
-    return int(np.max(np.abs(rows - cols), initial=0))
-
-
-def _band_storage(A, k):
-    """A in LAPACK band storage for zgbsv with kl = ku = k: A[i, j] at row 2k + i - j, column j.
-
-    The first k rows are left for the fill-in of the LU factors.
-    """
-    n = A.shape[0]
-    band = np.zeros((3 * k + 1, n), dtype=complex, order="F")
-    for j in range(-k, k + 1):  # the j-th superdiagonal, A[i, i + j]
-        band[2 * k - j, max(j, 0):n + min(j, 0)] = A.diagonal(j)
-    return band
-
-
-def _scaled_identity(n, c):
-    """c I in Fortran order, which zgbsv overwrites with the solution in place."""
-    B = np.zeros((n, n), dtype=complex, order="F")
-    B.flat[::n + 1] = c
-    return B
-
-
 def _diagonal_ray_sum(diag, lams, coefs):
     """sum_j c_j (D - lam_j)^{-1} for D = diag(diag), returned as its diagonal."""
     x = np.zeros(diag.size, dtype=complex)
@@ -437,23 +409,24 @@ def _diagonal_ray_sum(diag, lams, coefs):
     return x
 
 
-def _ray_sum(band, k, lams, coefs):
-    """sum_j c_j (A - lam_j)^{-1}, one banded LU solve of (A - lam_j) Y = c_j I per node.
+def _triangular_ray_sum(T, lams, coefs):
+    """sum_j c_j (T - lam_j)^{-1} for T upper triangular, one LAPACK ztrtri per node.
 
-    band is A in the storage of _band_storage; only its main-diagonal row
-    changes from node to node, in place, and zgbsv factors a copy of it.
+    Each node inverts a Fortran-ordered copy of T whose diagonal is shifted,
+    in place; T itself, a cached Schur factor, is never written.
     """
-    n = band.shape[1]
-    main = band[2 * k].copy()
+    n = T.shape[0]
+    main = T.diagonal()
     X = np.zeros((n, n), dtype=complex, order="F")
     for lam, c in zip(lams, coefs):
-        band[2 * k] = main - lam
-        *_, Y, info = zgbsv(k, k, band, _scaled_identity(n, c), overwrite_b=1)
-        if info > 0:  # an exactly zero pivot: lam is an eigenvalue
+        shifted = np.array(T, dtype=complex, order="F")  # a copy, even of an F-ordered T
+        np.fill_diagonal(shifted, main - lam)
+        inv, info = ztrtri(shifted, overwrite_c=1)
+        if info > 0:  # an exactly zero diagonal entry: lam is an eigenvalue
             raise SpectrumSampleError(f"resolvent solve failed at {lam}")
         if info < 0:
-            raise ValueError(f"zgbsv rejected argument {-info}")
-        X += Y
+            raise ValueError(f"ztrtri rejected argument {-info}")
+        X += c * inv
     return X
 
 

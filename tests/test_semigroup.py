@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from volcalc import semigroup
 from volcalc.semigroup import (
@@ -281,7 +281,7 @@ def test_dunford_diagonal_input_makes_no_solve(name, monkeypatch):
         raise AssertionError("a diagonal input made a solve")
 
     monkeypatch.setattr(semigroup, "_tridiagonal_ray_sum", refuse)
-    monkeypatch.setattr(semigroup, "zgbsv", refuse)
+    monkeypatch.setattr(semigroup, "ztrtri", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for t in ts:
         E = dunford_heat(disc, t, quads[t])
@@ -310,33 +310,33 @@ def _drift_2d():
 
 @pytest.mark.parametrize("make, n", [(_metric_1d, 16), (_drift_2d, 4)],
                          ids=["metric_1d", "drift_2d"])
-def test_dunford_non_hermitian_galerkin_takes_band_route(make, n, monkeypatch):
+def test_dunford_non_hermitian_galerkin_takes_schur_route(make, n, monkeypatch):
     # every non-diagonal corpus matrix is Hermitian, so both operators are built here
     disc = discretize(make(), n)
     assert not disc.is_hermitian
     ts = (0.3, 1.0)
     quads = {t: default_quadrature(t) for t in ts}
     refs = {t: matrix_heat_reference(disc, t) for t in ts}
-    bands = []
-    zgbsv = semigroup.zgbsv
+    sizes = []
+    ztrtri = semigroup.ztrtri
 
-    def recording(kl, ku, *args, **kwargs):
-        bands.append((kl, ku))
-        return zgbsv(kl, ku, *args, **kwargs)
+    def recording(c, *args, **kwargs):
+        sizes.append(c.shape)
+        return ztrtri(c, *args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a non-Hermitian input left the band route")
+        raise AssertionError("a non-Hermitian input left the Schur route")
 
-    monkeypatch.setattr(semigroup, "zgbsv", recording)
+    monkeypatch.setattr(semigroup, "ztrtri", recording)
     monkeypatch.setattr(semigroup, "_tridiagonal_ray_sum", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for t in ts:
-        bands.clear()
+        sizes.clear()
         E = dunford_heat(disc, t, quads[t])
         assert np.linalg.norm(E - refs[t], 2) <= 1e-10, t
-        # mirror-symmetric (real coefficients): one banded solve per upper-ray node
-        assert len(bands) == len(quads[t].nodes(t)[0])
-        assert set(bands) == {(2, 2) if disc.dim == 1 else (10, 10)}
+        # mirror-symmetric (real coefficients): one triangular inverse per upper-ray node
+        assert len(sizes) == len(quads[t].nodes(t)[0])
+        assert set(sizes) == {(disc.size, disc.size)}
 
 
 @pytest.mark.parametrize("name", ["cosine_potential", "perturbed_metric"])
@@ -359,13 +359,27 @@ def test_dunford_hermitian_galerkin_takes_closed_form_route(name, monkeypatch):
         raise AssertionError("a Hermitian input made a per-node solve")
 
     monkeypatch.setattr(semigroup, "_tridiagonal_ray_sum", recording)
-    monkeypatch.setattr(semigroup, "zgbsv", refuse)
+    monkeypatch.setattr(semigroup, "ztrtri", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for t in ts:
         passes.clear()
         E = dunford_heat(disc, t, quads[t])
         assert np.linalg.norm(E - refs[t], 2) <= 1e-10, t
         assert passes == [len(quads[t].nodes(t)[0])]
+
+
+def test_dunford_leaves_the_cached_schur_form_unchanged():
+    # T is returned by scipy in Fortran order, so np.asfortranarray(T) would
+    # alias the cached factor; the ray sum must shift the diagonal of a copy
+    disc = discretize(_metric_1d(), 16)
+    assert not disc.is_hermitian
+    T, Z = disc.schur_form
+    T0, Z0 = T.copy(), Z.copy()
+    first = dunford_heat(disc, 0.3)
+    second = dunford_heat(disc, 0.3)
+    assert np.array_equal(first, second)
+    assert disc.schur_form[0] is T and disc.schur_form[1] is Z
+    assert T.tobytes() == T0.tobytes() and Z.tobytes() == Z0.tobytes()
 
 
 def _hermitian(eigs, seed):
@@ -417,6 +431,31 @@ def test_tridiagonal_ray_sum_matches_dense_solves(A, nodes):
     assert np.linalg.norm(X - ref, 2) <= 4 * np.finfo(float).eps * kappa * np.linalg.norm(ref, 2)
 
 
+def _non_normal_triangular():
+    """Complex upper triangular, far from normal: entries of size 3 above a diagonal in [-0.5, 30]."""
+    rng = np.random.default_rng(5)
+    n = 12
+    diag = rng.uniform(-0.5, 30.0, n) + 1j * rng.uniform(-0.4, 0.4, n)
+    return np.diag(diag) + np.triu(3.0 * (rng.standard_normal((n, n))
+                                          + 1j * rng.standard_normal((n, n))), 1)
+
+
+@pytest.mark.parametrize("nodes", [_upper_ray(0.3), _vertex_nodes()], ids=["ray", "near_vertex"])
+def test_triangular_ray_sum_matches_dense_solves(nodes):
+    # sum_j c_j (T - lam_j)^{-1}, against one dense solve per node; the
+    # tolerance is rounding times the worst condition number over the nodes
+    lams, coefs = nodes
+    T = _non_normal_triangular()
+    eye = np.eye(T.shape[0])
+    X = semigroup._triangular_ray_sum(T, lams, coefs)
+    ref = sum(c * np.linalg.solve(T - lam * eye, eye) for lam, c in zip(lams, coefs))
+    kappa = max(np.linalg.cond(T - lam * eye) for lam in lams)
+    assert np.linalg.norm(X - ref, 2) <= 4 * np.finfo(float).eps * kappa * np.linalg.norm(ref, 2)
+    T[4, 4] = lams[1]  # an exactly zero diagonal entry of T - lam at that node
+    with pytest.raises(SpectrumSampleError):
+        semigroup._triangular_ray_sum(T, lams, coefs)
+
+
 def test_dunford_hermitian_overflow_raises():
     # eigenvalues 2e200 and 4e200, inside the wedge: the pivot recurrence
     # overflows, and no node is finite
@@ -443,7 +482,7 @@ def test_dunford_band_reaches_the_corner(corner):
                            + 1j * rng.standard_normal(n - abs(j)), j)
     Q = 0.5 * (Q + Q[::-1, ::-1].conj())
     Q[corner], Q[0, n - 1] = 0.4 - 0.25j, 0.4 + 0.25j
-    assert semigroup._bandwidth(Q) == n - 1
+    assert Q[n - 1, 0] != 0 and Q[0, n - 1] != 0  # the full band
     assert np.array_equal(Q[::-1, ::-1], Q.conj())
     assert not np.array_equal(Q, Q.conj().T)
     for t in (0.3, 1.0):
@@ -458,14 +497,15 @@ def test_dunford_node_on_the_spectrum_raises():
     lams = CONTOUR_VERTEX + s * (1.0 + 1j)  # the upper ray, formed as dunford_heat does
     lam = lams[7]
     Q = np.array([[lam, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, np.conj(lam)]])
-    assert np.array_equal(Q[::-1, ::-1], Q.conj())  # the banded route
+    assert np.array_equal(Q[::-1, ::-1], Q.conj())  # the Schur route
     # an eigenvalue on the contour is not inside the wedge: refused up front
     with pytest.raises(DomainError, match="outside the wedge"):
         dunford_heat(Q, t, quad)
-    # the banded solve itself reports the exact zero pivot at that node
-    k = semigroup._bandwidth(Q)
+    # the triangular inverse itself reports the exact zero diagonal entry at that node
+    T, _ = schur(Q, output="complex")
+    assert lam in T.diagonal()
     with pytest.raises(SpectrumSampleError):
-        semigroup._ray_sum(semigroup._band_storage(Q, k), k, lams, w)
+        semigroup._triangular_ray_sum(T, lams, w)
 
 
 def _potential_ops():
@@ -499,18 +539,26 @@ def test_dunford_refuses_a_spectrum_outside_the_wedge(name):
         dunford_heat(disc.matrix, 0.3)  # the dense input takes the same route
 
 
-def test_dunford_accepts_a_numerical_range_across_the_contour():
+def test_dunford_accepts_a_numerical_range_across_the_contour(monkeypatch):
     # the test is on the spectrum: a numerical range that reaches outside the
     # wedge does not refuse an operator whose eigenvalues lie inside it
     disc = discretize(_potential_ops()["accepted"], 16)
     M = disc.matrix
     assert np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min() < CONTOUR_VERTEX
-    eigs = disc.eigenvalues
+    eigs = np.linalg.eigvals(M)
     assert np.all(np.abs(eigs.imag) < eigs.real - CONTOUR_VERTEX)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "schur", recording)
     for t in (0.3, 1.0):
-        for Q in (disc, M):  # cached eigenvalues, and a raw array's own
+        for Q in (disc, M):  # the cached Schur form, and a raw array's own
             assert np.linalg.norm(dunford_heat(Q, t) - expm(-t * M), 2) <= 1e-12
-    assert disc.eigenvalues is eigs  # computed once per operator
+    # computed once for the operator, and once per call for the raw array
+    assert len(calls) == 3
 
 
 def test_dunford_rejects_undersized_contour():
@@ -778,7 +826,7 @@ def _drift_dominated_op():
 
 def test_heat_diagonal_series_matches_expm_on_a_complex_spectrum():
     disc = discretize(_drift_dominated_op(), 16)
-    assert np.max(np.abs(disc.eigenvalues.imag)) > 10.0
+    assert np.max(np.abs(np.linalg.eigvals(disc.matrix).imag)) > 10.0
     times = [0.05, 0.3, 1.0]
     ref = _expm_diagonal(disc, times, 8)
     diag, _ = heat_diagonal(disc, times, n_x=8)
